@@ -29,7 +29,6 @@ from .homology import (
     smith_normal_form,
     verify_weight_piece,
 )
-from .monoid import PointedMonoid, truncated_monoid
 from .tate_tp import (
     CyclicFactor,
     NilInvariance,
@@ -55,7 +54,6 @@ __all__ = [
     "CyclicBar",
     "CyclicFactor",
     "NilInvariance",
-    "PointedMonoid",
     "TPReport",
     "WeightComponent",
     "WeightPieceReport",
@@ -74,7 +72,6 @@ __all__ = [
     "smith_normal_form",
     "sphere_dim",
     "tate_cpn_homotopy",
-    "truncated_monoid",
     "verify_weight_piece",
     "weight_piece_exponent",
     "weight_piece_tp",

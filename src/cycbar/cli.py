@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
 from math import inf
 from pathlib import Path
 
-from .cyclic_bar import CyclicBar, identity_report
+from .cyclic_bar import CyclicBar, identity_report, identity_violations
 from .homology import ZERO_GROUP, chain_complex, homology_groups, verify_weight_piece
 from .tate_tp import nil_invariance_report, relative_tp
 
@@ -88,7 +89,8 @@ def build_parser():
         sp.add_argument("--out", default=None, help="write the report to this file")
         sp.add_argument(
             "--jobs", type=int, default=1,
-            help="worker processes for independent weights (default: 1)",
+            help="worker processes for independent weights, at most one per CPU "
+            "(default: 1)",
         )
 
     sp = sub.add_parser("homology", help="homology of weight components")
@@ -165,8 +167,8 @@ def _homology_entry(k, i):
     }
 
 
-def _verify_entry(k, i):
-    rep = verify_weight_piece(k, i)
+def _verify_entry(wc):
+    rep = verify_weight_piece(wc)
     shown = sorted(
         l
         for l in set(rep.computed) | set(rep.expected)
@@ -174,7 +176,7 @@ def _verify_entry(k, i):
         or not rep.expected.get(l, ZERO_GROUP).is_trivial
     )
     return {
-        "i": i,
+        "i": rep.i,
         "match": rep.matches,
         "mismatched_degrees": list(rep.mismatched_degrees),
         "degrees": [
@@ -188,12 +190,32 @@ def _verify_entry(k, i):
     }
 
 
+def _verify_weight(k, i):
+    """All of verify's checks at weight i, from one enumeration.
+
+    Returns the closed-form entry (None when k divides i), the
+    alternating count, the number of simplices whose operator identities
+    were checked, and the identity violations.
+    """
+    bar = CyclicBar(k)
+    wc = bar.enumerate_weight_component(i)
+    violations = [v for _, s in wc.simplices() for v in identity_violations(bar, s)]
+    entry = _verify_entry(wc) if i % k else None
+    return entry, wc.alternating_count(), sum(wc.degree_counts()), violations
+
+
+def _worker_count(jobs, n_items):
+    """Worker processes for n_items independent items; at most one per CPU."""
+    return min(jobs, n_items, os.cpu_count() or 1)
+
+
 def _run_jobs(fn, items, jobs):
     items = list(items)
-    if jobs > 1 and len(items) > 1:
+    workers = _worker_count(jobs, len(items))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
 
@@ -246,14 +268,15 @@ def cmd_homology(cfg):
 
 
 def cmd_verify(cfg):
-    weights = [i for i in range(1, cfg.max_i + 1) if i % cfg.k]
-    entries = _run_jobs(partial(_verify_entry, cfg.k), weights, cfg.jobs)
-    bar = CyclicBar(cfg.k)
-    euler = []
-    for i in range(1, cfg.max_i + 1):
-        count = bar.enumerate_weight_component(i).alternating_count()
-        euler.append({"i": i, "alternating_count": count, "ok": count == 0})
-    checked, violations = identity_report(cfg.k, cfg.max_i)
+    results = _run_jobs(partial(_verify_weight, cfg.k), range(cfg.max_i + 1), cfg.jobs)
+    entries, euler, checked, violations = [], [], 0, []
+    for i, (entry, count, simplices, bad) in enumerate(results):
+        if entry is not None:
+            entries.append(entry)
+        if i >= 1:
+            euler.append({"i": i, "alternating_count": count, "ok": count == 0})
+        checked += simplices
+        violations.extend(bad)
     ok = (
         all(e["match"] for e in entries)
         and all(e["ok"] for e in euler)
@@ -396,10 +419,11 @@ def _selftest_euler():
 def _selftest_sphere_smash():
     matched = 0
     for k in SELFTEST_K:
+        bar = CyclicBar(k)
         for i in range(1, SELFTEST_MAX_WEIGHT + 1):
             if i % k == 0:
                 continue
-            if not verify_weight_piece(k, i).matches:
+            if not verify_weight_piece(bar.enumerate_weight_component(i)).matches:
                 return False, f"homology mismatch at k={k}, i={i}"
             matched += 1
     return True, f"{matched} weight pieces matched"

@@ -25,7 +25,7 @@ i >= 1 therefore lives in degrees <= i, with the single top simplex
 
 from dataclasses import dataclass, field
 
-from .monoid import BASEPOINT, truncated_monoid
+from .monoid import BASEPOINT
 
 __all__ = [
     "BASEPOINT",
@@ -104,7 +104,8 @@ class CyclicBar:
     """Cyclic bar construction of the truncated monoid with x^k = 0."""
 
     def __init__(self, k):
-        self.monoid = truncated_monoid(k)
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"truncation order must be an integer >= 2, got {k!r}")
         self.k = k
 
     def __repr__(self):
@@ -113,7 +114,9 @@ class CyclicBar:
     def face(self, s, idx):
         """Face d_idx; 0 <= idx <= l on an l-simplex with l >= 1.
 
-        Basepoint in, basepoint out.  A 0-simplex has no faces.
+        Merges two entries by exponent addition; a sum reaching k is the
+        monoid zero and collapses the simplex.  Basepoint in, basepoint
+        out.  A 0-simplex has no faces.
         """
         if s is BASEPOINT:
             return BASEPOINT
@@ -122,14 +125,15 @@ class CyclicBar:
             raise ValueError("a 0-simplex has no faces")
         if not 0 <= idx <= top:
             raise ValueError(f"face index {idx} out of range for degree {top}")
-        if idx < top:
-            prod = self.monoid.multiply(s[idx], s[idx + 1])
-            if prod is BASEPOINT:
-                return BASEPOINT
-            return s[:idx] + (prod,) + s[idx + 2:]
-        prod = self.monoid.multiply(s[top], s[0])
-        if prod is BASEPOINT:
+        a, b = (s[idx], s[idx + 1]) if idx < top else (s[top], s[0])
+        k = self.k
+        if not (0 <= a < k and 0 <= b < k):
+            raise ValueError(f"entries {a!r}, {b!r} are not both exponents of Pi_{k}")
+        prod = a + b
+        if prod >= k:
             return BASEPOINT
+        if idx < top:
+            return s[:idx] + (prod,) + s[idx + 2:]
         return (prod,) + s[1:top]
 
     def degeneracy(self, s, idx):

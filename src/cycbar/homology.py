@@ -3,10 +3,9 @@
 The normalized reduced chains of a weight component have one free
 generator per nondegenerate simplex, with the basepoint discarded.  The
 boundary of an l-simplex is the alternating sum of its faces; faces that
-hit the basepoint or a degenerate simplex contribute nothing.  (For the
-truncated monoid the degenerate case never actually occurs: merging two
+hit the basepoint contribute nothing.  No face is degenerate: merging two
 entries of a nondegenerate tuple yields an entry that is either >= 1 or
-overflows to the basepoint.)
+overflows to the basepoint, so every other face is a basis element.
 
 Homology is read off Smith normal forms of the boundary matrices.  All
 arithmetic is exact over arbitrary-precision integers: boundary matrices
@@ -18,7 +17,7 @@ value and reduces with extended-gcd row/column operations.
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclic_bar import BASEPOINT, CyclicBar, WeightComponent, is_degenerate
+from .cyclic_bar import BASEPOINT, CyclicBar, WeightComponent
 
 __all__ = [
     "AbelianGroup",
@@ -261,7 +260,7 @@ def chain_complex(wc):
             sign = 1
             for a in range(l + 1):
                 f = bar.face(s, a)
-                if f is not BASEPOINT and not is_degenerate(f):
+                if f is not BASEPOINT:
                     row = index[l - 1].get(f)
                     if row is None:
                         raise ValueError(
@@ -309,14 +308,15 @@ class WeightPieceReport:
         return not self.mismatched_degrees
 
 
-def verify_weight_piece(k, i):
-    """Compare computed homology of weight i with the sphere-smash prediction.
+def verify_weight_piece(wc):
+    """Compare the homology of a weight component with the sphere-smash prediction.
 
-    Only weights with i not a multiple of k have the closed-form answer
+    Only weights i not a multiple of k have the closed-form answer
     (reduced homology of S^(2d) smashed with a disjointly based circle,
-    d = floor((i-1)/k)), so multiples of k are rejected.
+    d = floor((i-1)/k)), so weight 0 and multiples of k are rejected.
     """
-    if not isinstance(i, int) or i < 1:
+    k, i = wc.k, wc.i
+    if i < 1:
         raise ValueError(f"weight must be a positive integer, got {i!r}")
     if i % k == 0:
         raise ValueError(
@@ -325,8 +325,7 @@ def verify_weight_piece(k, i):
     # imported here: tate_tp uses AbelianGroup from this module
     from .tate_tp import expected_reduced_homology
 
-    bar = CyclicBar(k)
-    computed = homology_groups(chain_complex(bar.enumerate_weight_component(i)))
+    computed = homology_groups(chain_complex(wc))
     expected = expected_reduced_homology(i, k)
     degrees = sorted(set(computed) | set(expected))
     bad = tuple(

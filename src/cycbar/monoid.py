@@ -1,23 +1,14 @@
-"""Finite pointed commutative monoids.
+"""The basepoint of the truncated polynomial monoid Pi_k.
 
-A pointed monoid carries an absorbing zero (the basepoint) and a neutral
-unit.  The distinguished example is the multiplicative monoid of a
-truncated polynomial ring,
-
-    {0, 1, x, x^2, ..., x^(k-1)}   with   x^k = 0,
-
-whose nonzero elements are graded by the exponent; the grading is additive
-wherever a product is nonzero.  Elements of the truncated monoid are stored
-as their exponents (0 for the unit) together with a shared basepoint
-sentinel, so the weight of a nonzero element is the element itself.
-
-The generic ``PointedMonoid`` accepts any finite multiplication table so
-that the same invariants (commutativity, associativity, absorption, weight
-additivity) can be checked for other examples, but only the truncated
-monoid is used downstream.
+Pi_k is the multiplicative pointed monoid {0, 1, x, ..., x^(k-1)} with
+x^k = 0.  Its nonzero elements are stored as their exponents (0 for the
+unit), so the product of two of them is exponent addition and the weight
+of an element is the element itself; a sum reaching k is the monoid zero,
+represented by the shared ``BASEPOINT`` sentinel.  ``CyclicBar.face``
+carries out the product.
 """
 
-__all__ = ["BASEPOINT", "PointedMonoid", "truncated_monoid"]
+__all__ = ["BASEPOINT"]
 
 
 class _Basepoint:
@@ -38,126 +29,3 @@ BASEPOINT = _Basepoint()
 
 def _restore_basepoint():
     return BASEPOINT
-
-
-class PointedMonoid:
-    """A finite pointed commutative monoid given by its multiplication table.
-
-    ``elements[0]`` is the basepoint and ``elements[1]`` the unit.  ``table``
-    maps ordered pairs of elements to products and must be total,
-    commutative and associative, with the basepoint absorbing and the unit
-    neutral.  ``weight`` grades the nonbasepoint elements by nonnegative
-    integers, additively wherever a product is nonzero, with the unit in
-    weight 0; the basepoint is ungraded.
-
-    All the laws above are checked exhaustively at construction time (the
-    monoids in scope are tiny, so the O(n^3) associativity sweep is cheap).
-    Instances do not mutate after construction and are safe to share
-    between threads.
-    """
-
-    def __init__(self, elements, table, weight, name="monoid"):
-        self.elements = tuple(elements)
-        self.table = dict(table)
-        self.weights = dict(weight)
-        self.name = name
-        self._members = frozenset(self.elements)
-        self._validate()
-
-    @property
-    def basepoint(self):
-        return self.elements[0]
-
-    @property
-    def unit(self):
-        return self.elements[1]
-
-    def __contains__(self, a):
-        return a in self._members
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __repr__(self):
-        return f"<PointedMonoid {self.name}: {len(self.elements)} elements>"
-
-    def multiply(self, a, b):
-        """Product of two elements; raises on identifiers not in the monoid."""
-        self._require_member(a)
-        self._require_member(b)
-        return self.table[a, b]
-
-    def weight(self, a):
-        """Grading of an element, or None for the (ungraded) basepoint."""
-        self._require_member(a)
-        if a is self.basepoint or a == self.basepoint:
-            return None
-        return self.weights[a]
-
-    def _require_member(self, a):
-        if a not in self._members:
-            raise ValueError(f"unknown element {a!r} of {self.name}")
-
-    def _validate(self):
-        els = self.elements
-        if len(els) < 2:
-            raise ValueError("a pointed monoid needs a basepoint and a unit")
-        if len(set(els)) != len(els):
-            raise ValueError("duplicate element identifiers")
-        zero, one = els[0], els[1]
-        table = self.table
-        for a in els:
-            for b in els:
-                if (a, b) not in table:
-                    raise ValueError(f"multiplication table misses ({a!r}, {b!r})")
-                if table[a, b] not in self._members:
-                    raise ValueError(f"product of ({a!r}, {b!r}) is not an element")
-        for a in els:
-            if table[zero, a] != zero or table[a, zero] != zero:
-                raise ValueError(f"basepoint is not absorbing at {a!r}")
-            if table[one, a] != a or table[a, one] != a:
-                raise ValueError(f"unit is not neutral at {a!r}")
-            for b in els:
-                if table[a, b] != table[b, a]:
-                    raise ValueError(f"multiplication not commutative at ({a!r}, {b!r})")
-                for c in els:
-                    if table[table[a, b], c] != table[a, table[b, c]]:
-                        raise ValueError(
-                            f"multiplication not associative at ({a!r}, {b!r}, {c!r})"
-                        )
-        nonzero = els[1:]
-        if set(self.weights) != set(nonzero):
-            raise ValueError("weight must be defined exactly on nonbasepoint elements")
-        for a in nonzero:
-            w = self.weights[a]
-            if not isinstance(w, int) or w < 0:
-                raise ValueError(f"weight of {a!r} must be a nonnegative integer")
-        if self.weights[one] != 0:
-            raise ValueError("unit must have weight 0")
-        for a in nonzero:
-            for b in nonzero:
-                ab = table[a, b]
-                if ab != zero and self.weights[ab] != self.weights[a] + self.weights[b]:
-                    raise ValueError(f"weight not additive at ({a!r}, {b!r})")
-
-
-def truncated_monoid(k):
-    """The multiplicative pointed monoid of Z[x]/(x^k) on {0, 1, x, ..., x^(k-1)}.
-
-    Nonzero elements are represented by their exponent, so x^a * x^b is
-    a + b when that stays below k and the basepoint otherwise.  Requires
-    k >= 2: for k = 1 the monoid degenerates to {0, 1} and carries no
-    x-torsion to see.
-    """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"truncation order must be an integer >= 2, got {k!r}")
-    elements = [BASEPOINT] + list(range(k))
-    table = {}
-    for a in elements:
-        table[a, BASEPOINT] = BASEPOINT
-        table[BASEPOINT, a] = BASEPOINT
-    for a in range(k):
-        for b in range(k):
-            table[a, b] = a + b if a + b < k else BASEPOINT
-    weight = {a: a for a in range(k)}
-    return PointedMonoid(elements, table, weight, name=f"Pi_{k}")

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cycbar.cli import UsageError, _parse_weight_range, main
+from cycbar.cli import UsageError, _parse_weight_range, _worker_count, main
+from cycbar.cyclic_bar import CyclicBar
 
 
 def run(capsys, *argv):
@@ -106,6 +107,34 @@ def test_verify_with_jobs_matches_serial(capsys):
     assert out1 == out2
 
 
+def test_verify_enumerates_each_weight_once(capsys, monkeypatch):
+    calls = []
+    enumerate_weight_component = CyclicBar.enumerate_weight_component
+
+    def counted(bar, i, *args, **kwargs):
+        calls.append(i)
+        return enumerate_weight_component(bar, i, *args, **kwargs)
+
+    monkeypatch.setattr(CyclicBar, "enumerate_weight_component", counted)
+    code, _, _ = run(capsys, "verify", "--k", "3", "--max-i", "7")
+    assert code == 0
+    assert calls == list(range(8))
+
+
+def test_worker_count_is_bounded(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert _worker_count(1, 10) == 1
+    assert _worker_count(2, 10) == 2
+    assert _worker_count(10**9, 10) == 2
+    assert _worker_count(8, 1) == 1
+    assert _worker_count(8, 0) == 0
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    assert _worker_count(10**9, 5) == 5
+    assert _worker_count(3, 50) == 3
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _worker_count(4, 10) == 1
+
+
 def test_tp_text(capsys):
     code, out, _ = run(capsys, "tp", "--p", "2", "--k", "3", "--j", "1",
                        "--truncate", "10")
@@ -147,6 +176,16 @@ def test_verdict_json(capsys):
     assert node["exponent_sup"] == 2
     assert node["witness_weight"] == 9
     assert "negative cyclic" in node["remark"]
+
+
+def test_verdict_large_prime_power_is_immediate(capsys):
+    # 3^19: the exponent supremum comes from the valuation alone
+    code, out, _ = run(capsys, "verdict", "--p", "3", "--k", "1162261467",
+                       "--format", "json")
+    assert code == 0
+    node = json.loads(out)["verdicts"]
+    assert node["exponent_sup"] == 19
+    assert node["p_inverted_iso"] is True
 
 
 def test_selftest_passes(capsys):

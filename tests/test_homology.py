@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycbar.cyclic_bar import CyclicBar
+from cycbar.cyclic_bar import CyclicBar, WeightComponent
 from cycbar.homology import (
     AbelianGroup,
     ZERO_GROUP,
@@ -225,26 +225,24 @@ def test_euler_characteristic_consistency():
 
 
 def test_verify_weight_piece_matches():
-    rep = verify_weight_piece(4, 3)
+    rep = verify_weight_piece(CyclicBar(4).enumerate_weight_component(3))
     assert rep.matches
     assert {l: g for l, g in rep.computed.items() if not g.is_trivial} == {
         0: Z,
         1: Z,
     }
-    rep = verify_weight_piece(2, 5)
+    rep = verify_weight_piece(CyclicBar(2).enumerate_weight_component(5))
     assert rep.matches
+    assert (rep.k, rep.i) == (2, 5)
     assert rep.expected == {4: Z, 5: Z}
 
 
 def test_verify_weight_piece_rejects_multiples():
+    for k, i in ((2, 4), (3, 3), (2, 0)):
+        with pytest.raises(ValueError):
+            verify_weight_piece(CyclicBar(k).enumerate_weight_component(i))
     with pytest.raises(ValueError):
-        verify_weight_piece(2, 4)
-    with pytest.raises(ValueError):
-        verify_weight_piece(3, 3)
-    with pytest.raises(ValueError):
-        verify_weight_piece(2, 0)
-    with pytest.raises(ValueError):
-        verify_weight_piece(2, -1)
+        verify_weight_piece(WeightComponent(2, -1))
 
 
 def test_torsion_outside_closed_form_weights():
