@@ -25,7 +25,9 @@ from .homology import (
     ChainComplex,
     WeightPieceReport,
     chain_complex,
+    expected_reduced_homology,
     homology_groups,
+    lambda_dim,
     smith_normal_form,
     verify_weight_piece,
 )
@@ -34,12 +36,9 @@ from .tate_tp import (
     NilInvariance,
     TPReport,
     exponent_sup,
-    expected_reduced_homology,
-    lambda_dim,
     nil_invariance_report,
     p_adic_valuation,
     relative_tp,
-    sphere_dim,
     tate_cpn_homotopy,
     weight_piece_exponent,
     weight_piece_tp,
@@ -70,7 +69,6 @@ __all__ = [
     "relative_tp",
     "simplex_weight",
     "smith_normal_form",
-    "sphere_dim",
     "tate_cpn_homotopy",
     "verify_weight_piece",
     "weight_piece_exponent",

@@ -27,7 +27,7 @@ from functools import partial
 from math import inf
 from pathlib import Path
 
-from .cyclic_bar import CyclicBar, identity_report, identity_violations
+from .cyclic_bar import CyclicBar, identity_violations
 from .homology import ZERO_GROUP, chain_complex, homology_groups, verify_weight_piece
 from .tate_tp import nil_invariance_report, relative_tp
 
@@ -87,6 +87,8 @@ def build_parser():
             help="report format (default: text)",
         )
         sp.add_argument("--out", default=None, help="write the report to this file")
+
+    def jobs(sp):
         sp.add_argument(
             "--jobs", type=int, default=1,
             help="worker processes for independent weights, at most one per CPU "
@@ -97,11 +99,13 @@ def build_parser():
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--i", required=True, help="weight or inclusive range A..B")
     common(sp)
+    jobs(sp)
 
     sp = sub.add_parser("verify", help="check homology against the closed form")
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--max-i", type=int, required=True, help="largest weight checked")
     common(sp)
+    jobs(sp)
 
     sp = sub.add_parser("tp", help="factor table of the relative periodic theory")
     sp.add_argument("--p", type=int, required=True, help="prime")
@@ -122,9 +126,11 @@ def build_parser():
 
 
 def _config_from_args(args):
-    cfg = RunConfig(command=args.command, fmt=args.fmt, out=args.out, jobs=args.jobs)
-    if cfg.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {cfg.jobs}")
+    cfg = RunConfig(command=args.command, fmt=args.fmt, out=args.out)
+    if cfg.command in ("homology", "verify"):
+        cfg.jobs = args.jobs
+        if cfg.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {cfg.jobs}")
     if cfg.command in ("homology", "verify", "tp", "verdict"):
         cfg.k = args.k
         if cfg.k < 2:
@@ -167,8 +173,8 @@ def _homology_entry(k, i):
     }
 
 
-def _verify_entry(wc):
-    rep = verify_weight_piece(wc)
+def _verify_entry(cx):
+    rep = verify_weight_piece(cx)
     shown = sorted(
         l
         for l in set(rep.computed) | set(rep.expected)
@@ -200,7 +206,7 @@ def _verify_weight(k, i):
     bar = CyclicBar(k)
     wc = bar.enumerate_weight_component(i)
     violations = [v for _, s in wc.simplices() for v in identity_violations(bar, s)]
-    entry = _verify_entry(wc) if i % k else None
+    entry = _verify_entry(chain_complex(wc)) if i % k else None
     return entry, wc.alternating_count(), sum(wc.degree_counts()), violations
 
 
@@ -213,6 +219,8 @@ def _run_jobs(fn, items, jobs):
     items = list(items)
     workers = _worker_count(jobs, len(items))
     if workers > 1:
+        # imported on first use: at module level it adds about a quarter to
+        # the time a fresh interpreter takes to import this module
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -385,64 +393,56 @@ SELFTEST_K = (2, 3, 4)
 SELFTEST_MAX_WEIGHT = 10
 
 
-def _selftest_identities():
-    total = 0
-    for k in SELFTEST_K:
-        checked, violations = identity_report(k, SELFTEST_MAX_WEIGHT)
-        total += checked
-        if violations:
-            return False, f"k={k}: {len(violations)} violations"
-    return True, f"{total} simplices checked"
-
-
-def _selftest_boundary():
-    count = 0
-    for k in SELFTEST_K:
-        for i in range(SELFTEST_MAX_WEIGHT + 1):
-            cx = chain_complex(CyclicBar(k).enumerate_weight_component(i))
-            if not cx.boundary_composes_to_zero():
-                return False, f"boundary fails to square to zero at k={k}, i={i}"
-            count += 1
-    return True, f"{count} complexes checked"
-
-
-def _selftest_euler():
-    for k in SELFTEST_K:
-        bar = CyclicBar(k)
-        for i in range(1, SELFTEST_MAX_WEIGHT + 1):
-            count = bar.enumerate_weight_component(i).alternating_count()
-            if count != 0:
-                return False, f"alternating count {count} at k={k}, i={i}"
-    return True, f"{len(SELFTEST_K) * SELFTEST_MAX_WEIGHT} weights checked"
-
-
-def _selftest_sphere_smash():
-    matched = 0
-    for k in SELFTEST_K:
-        bar = CyclicBar(k)
-        for i in range(1, SELFTEST_MAX_WEIGHT + 1):
-            if i % k == 0:
-                continue
-            if not verify_weight_piece(bar.enumerate_weight_component(i)).matches:
-                return False, f"homology mismatch at k={k}, i={i}"
-            matched += 1
-    return True, f"{matched} weight pieces matched"
-
-
-SELFTEST_CHECKS = (
-    ("operator identities", _selftest_identities),
-    ("boundary squares to zero", _selftest_boundary),
-    ("alternating counts vanish", _selftest_euler),
-    ("homology matches the closed form", _selftest_sphere_smash),
-)
-
-
 def cmd_selftest(cfg):
-    results = []
-    for name, check in SELFTEST_CHECKS:
-        ok, detail = check()
-        results.append({"name": name, "ok": ok, "detail": detail})
-    ok = all(r["ok"] for r in results)
+    """Every check at each (k, i), from one enumeration and one complex.
+
+    A failed check reports its first failing (k, i), k outer and i inner;
+    the identities check reports the violation total of the first
+    failing k.
+    """
+    ids, dd, euler, sphere = (
+        "operator identities",
+        "boundary squares to zero",
+        "alternating counts vanish",
+        "homology matches the closed form",
+    )
+    simplices = complexes = weights = pieces = 0
+    failed = {}
+    for k in SELFTEST_K:
+        bar = CyclicBar(k)
+        violations = 0
+        for i in range(SELFTEST_MAX_WEIGHT + 1):
+            wc = bar.enumerate_weight_component(i)
+            cx = chain_complex(wc)
+            at = f"at k={k}, i={i}"
+            for _, s in wc.simplices():
+                simplices += 1
+                violations += len(identity_violations(bar, s))
+            complexes += 1
+            if not cx.boundary_composes_to_zero():
+                failed.setdefault(dd, f"boundary fails to square to zero {at}")
+            if i >= 1:
+                weights += 1
+                count = wc.alternating_count()
+                if count:
+                    failed.setdefault(euler, f"alternating count {count} {at}")
+            if i % k:
+                pieces += 1
+                if not verify_weight_piece(cx).matches:
+                    failed.setdefault(sphere, f"homology mismatch {at}")
+        if violations:
+            failed.setdefault(ids, f"k={k}: {violations} violations")
+    passed = {
+        ids: f"{simplices} simplices checked",
+        dd: f"{complexes} complexes checked",
+        euler: f"{weights} weights checked",
+        sphere: f"{pieces} weight pieces matched",
+    }
+    results = [
+        {"name": name, "ok": name not in failed, "detail": failed.get(name, detail)}
+        for name, detail in passed.items()
+    ]
+    ok = not failed
     tree = {
         "tool": "cycbar",
         "command": "selftest",

@@ -65,8 +65,7 @@ class WeightComponent:
 
     ``simplices_by_degree[l]`` holds the nondegenerate l-simplices of total
     weight ``i`` in lexicographic order; trailing empty degrees are
-    trimmed, so for a component enumerated without a degree cap the last
-    populated degree of weight i >= 1 is exactly i.
+    trimmed, so the last populated degree of weight i >= 1 is exactly i.
     """
 
     k: int
@@ -151,23 +150,17 @@ class CyclicBar:
             return BASEPOINT
         return s[-1:] + s[:-1]
 
-    def enumerate_weight_component(self, i, max_degree=None):
+    def enumerate_weight_component(self, i):
         """All nondegenerate simplices of weight i, in degree-by-degree lex order.
 
-        Degrees run up to ``max_degree`` (default: i, which is exhaustive;
-        weight 0 needs only degree 0).  Tuples have a_0 in [0, k-1] and
-        a_j in [1, k-1] for j >= 1.
+        Degrees run up to i (weight 0 needs only degree 0).  Tuples have
+        a_0 in [0, k-1] and a_j in [1, k-1] for j >= 1.
         """
         if not isinstance(i, int) or i < 0:
             raise ValueError(f"weight must be a nonnegative integer, got {i!r}")
-        if max_degree is None:
-            max_degree = i if i >= 1 else 0
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        blocks = []
-        for l in range(max_degree + 1):
-            blocks.append(tuple(self._weight_tuples(i, l)))
-        return WeightComponent(self.k, i, _trim(blocks))
+        return WeightComponent(
+            self.k, i, _trim(self._weight_tuples(i, l) for l in range(i + 1))
+        )
 
     def _weight_tuples(self, i, l):
         # leading entry may be the unit, the rest may not
@@ -176,25 +169,18 @@ class CyclicBar:
             for tail in _compositions(i - first, l, hi):
                 yield (first,) + tail
 
-    def generated_cyclic_subset(self, i, max_degree=None):
+    def generated_cyclic_subset(self, i):
         """Nondegenerate simplices reachable from the weight-i generator.
 
         Takes the closure of the (i-1)-simplex (1, 1, ..., 1) under faces,
-        degeneracies and the cyclic operator, never leaving degrees below
-        max(max_degree, i), and reports the nondegenerate members per
-        degree up to ``max_degree`` (default i).  For the truncated
-        monoid this recovers the full weight component; computing it by
-        closure gives an independent route to the same lists.
+        degeneracies and the cyclic operator, never going above degree i,
+        and reports the nondegenerate members per degree.  For the
+        truncated monoid this recovers the full weight component;
+        computing it by closure gives an independent route to the same
+        lists.
         """
         if not isinstance(i, int) or i < 1:
             raise ValueError(f"the generator needs weight >= 1, got {i!r}")
-        if max_degree is None:
-            max_degree = i
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        # the closure may need to pass through degenerate simplices one
-        # degree above a target, but never above degree i
-        cap = max(max_degree, i)
         start = (1,) * i
         seen = {start}
         stack = [start]
@@ -204,18 +190,19 @@ class CyclicBar:
             images = [self.cyclic(s)]
             if top >= 1:
                 images.extend(self.face(s, a) for a in range(top + 1))
-            if top + 1 <= cap:
+            # the closure may pass through degenerate simplices one
+            # degree above a target, but never above degree i
+            if top < i:
                 images.extend(self.degeneracy(s, a) for a in range(top + 1))
             for t in images:
                 if t is BASEPOINT or t in seen:
                     continue
                 seen.add(t)
                 stack.append(t)
-        blocks = [[] for _ in range(max_degree + 1)]
+        blocks = [[] for _ in range(i + 1)]
         for s in seen:
-            l = len(s) - 1
-            if l <= max_degree and not is_degenerate(s):
-                blocks[l].append(s)
+            if not is_degenerate(s):
+                blocks[len(s) - 1].append(s)
         return WeightComponent(self.k, i, _trim(sorted(b) for b in blocks))
 
 

@@ -7,6 +7,11 @@ hit the basepoint contribute nothing.  No face is degenerate: merging two
 entries of a nondegenerate tuple yields an entry that is either >= 1 or
 overflows to the basepoint, so every other face is a basis element.
 
+The closed form checked against lives here too: away from multiples of
+k, the weight-i component has the homology of S^(2d) smashed with a
+disjointly based circle, d = floor((i-1)/k) (Hesselholt and Madsen,
+Invent. Math. 1997).
+
 Homology is read off Smith normal forms of the boundary matrices.  All
 arithmetic is exact over arbitrary-precision integers: boundary matrices
 are kept as sparse (row, col, value) triplets and densified one matrix at
@@ -26,6 +31,8 @@ __all__ = [
     "smith_normal_form",
     "chain_complex",
     "homology_groups",
+    "lambda_dim",
+    "expected_reduced_homology",
     "verify_weight_piece",
 ]
 
@@ -308,25 +315,54 @@ class WeightPieceReport:
         return not self.mismatched_degrees
 
 
-def verify_weight_piece(wc):
-    """Compare the homology of a weight component with the sphere-smash prediction.
+def _require_order(k):
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"truncation order must be an integer >= 2, got {k!r}")
 
-    Only weights i not a multiple of k have the closed-form answer
-    (reduced homology of S^(2d) smashed with a disjointly based circle,
-    d = floor((i-1)/k)), so weight 0 and multiples of k are rejected.
-    """
-    k, i = wc.k, wc.i
-    if i < 1:
+
+def _require_weight(i):
+    if not isinstance(i, int) or i < 1:
         raise ValueError(f"weight must be a positive integer, got {i!r}")
+
+
+def lambda_dim(i, k):
+    """Complex dimension d = floor((i-1)/k) attached to weight i.
+
+    This counts how many full truncation blocks fit below i; the
+    associated representation sphere has real dimension 2d.
+    """
+    _require_weight(i)
+    _require_order(k)
+    return (i - 1) // k
+
+
+def expected_reduced_homology(i, k):
+    """Reduced integral homology predicted for the weight-i component.
+
+    Defined only away from multiples of k, where the component has the
+    homology of S^(2d) smashed with a disjointly based circle: a single Z
+    in degrees 2d and 2d+1, d = floor((i-1)/k).
+    """
+    _require_weight(i)
+    _require_order(k)
     if i % k == 0:
         raise ValueError(
-            f"weight {i} is a multiple of {k}: no closed form to check against"
+            f"weight {i} is a multiple of {k}: the sphere-smash form only "
+            "covers the coprime-to-truncation weights"
         )
-    # imported here: tate_tp uses AbelianGroup from this module
-    from .tate_tp import expected_reduced_homology
+    d2 = 2 * lambda_dim(i, k)
+    return {d2: AbelianGroup.free(1), d2 + 1: AbelianGroup.free(1)}
 
-    computed = homology_groups(chain_complex(wc))
+
+def verify_weight_piece(cx):
+    """Compare the homology of a weight component's chain complex with the closed form.
+
+    Only weights i not a multiple of k have the closed-form answer, so
+    weight 0 and multiples of k are rejected before any reduction.
+    """
+    k, i = cx.k, cx.i
     expected = expected_reduced_homology(i, k)
+    computed = homology_groups(cx)
     degrees = sorted(set(computed) | set(expected))
     bad = tuple(
         l

@@ -14,7 +14,7 @@ whose value is a rank-one free module over Z/p^n[t, 1/t] with |t| = -2,
 generated in degree 2d for d = floor((i-1)/k); the same d governs the
 homological shape of the weight component itself, which for i not a
 multiple of k looks like a 2d-sphere smashed with a disjointly based
-circle.
+circle (``homology.expected_reduced_homology``).
 
 Nil-invariance verdicts fall out of the exponent pattern alone: some
 factor is nonzero for every k >= 2, so the relative theory never
@@ -25,19 +25,16 @@ exponents are bounded, which happens exactly when k is a power of p.
 from dataclasses import dataclass
 from math import inf
 
-from .homology import ZERO_GROUP, AbelianGroup
+from .homology import ZERO_GROUP, AbelianGroup, _require_order, _require_weight
 
 __all__ = [
     "CyclicFactor",
     "NilInvariance",
     "TPReport",
     "p_adic_valuation",
-    "lambda_dim",
-    "sphere_dim",
     "tate_cpn_homotopy",
     "weight_piece_exponent",
     "weight_piece_tp",
-    "expected_reduced_homology",
     "relative_tp",
     "exponent_sup",
     "nil_invariance_report",
@@ -50,24 +47,42 @@ NEGATIVE_CYCLIC_REMARK = (
 )
 
 
+# Miller-Rabin to the first 13 prime bases is exact below PRIME_BOUND
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Primality of 2 <= p < PRIME_BOUND: divide by the bases, then Miller-Rabin."""
+    for a in PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _require_prime(p):
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"expected a prime, got {p!r}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"expected a prime, got composite {p}")
-        d += 1
-
-
-def _require_order(k):
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"truncation order must be an integer >= 2, got {k!r}")
-
-
-def _require_weight(i):
-    if not isinstance(i, int) or i < 1:
-        raise ValueError(f"weight must be a positive integer, got {i!r}")
+    if p >= PRIME_BOUND:
+        raise ValueError(f"primality is only decided below {PRIME_BOUND}, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"expected a prime, got composite {p}")
 
 
 def p_adic_valuation(p, i):
@@ -79,22 +94,6 @@ def p_adic_valuation(p, i):
         i //= p
         e += 1
     return e
-
-
-def lambda_dim(i, k):
-    """Complex dimension d = floor((i-1)/k) attached to weight i.
-
-    This counts how many full truncation blocks fit below i; the
-    associated representation sphere has real dimension 2d.
-    """
-    _require_weight(i)
-    _require_order(k)
-    return (i - 1) // k
-
-
-def sphere_dim(i, k):
-    """Real dimension 2*floor((i-1)/k) of the weight-i representation sphere."""
-    return 2 * lambda_dim(i, k)
 
 
 def tate_cpn_homotopy(p, n, j):
@@ -158,24 +157,6 @@ def weight_piece_tp(p, k, i, j):
     _require_weight(i)
     exponent = weight_piece_exponent(p, k, i) if j % 2 == 1 else 0
     return CyclicFactor(p, i, exponent, i % k == 0)
-
-
-def expected_reduced_homology(i, k):
-    """Reduced integral homology predicted for the weight-i component.
-
-    Defined only away from multiples of k, where the component has the
-    homology of S^(2d) smashed with a disjointly based circle: a single Z
-    in degrees 2d and 2d+1, d = floor((i-1)/k).
-    """
-    _require_weight(i)
-    _require_order(k)
-    if i % k == 0:
-        raise ValueError(
-            f"weight {i} is a multiple of {k}: the sphere-smash form only "
-            "covers the coprime-to-truncation weights"
-        )
-    d2 = sphere_dim(i, k)
-    return {d2: AbelianGroup.free(1), d2 + 1: AbelianGroup.free(1)}
 
 
 @dataclass(frozen=True)
@@ -266,15 +247,12 @@ def nil_invariance_report(p, k):
     _require_order(k)
     sup = exponent_sup(p, k)
     witness = k if k % p == 0 else p
-    witness_exponent = weight_piece_exponent(p, k, witness)
-    if witness_exponent < 1:
-        raise AssertionError(f"witness weight {witness} has trivial factor")
     return NilInvariance(
         p=p,
         k=k,
         integral_iso=False,
         p_inverted_iso=sup is not inf,
         witness_weight=witness,
-        witness_exponent=witness_exponent,
+        witness_exponent=weight_piece_exponent(p, k, witness),
         exponent_sup=sup,
     )

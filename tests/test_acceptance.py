@@ -24,9 +24,9 @@ from cycbar import (
     chain_complex,
     homology_groups,
     identity_report,
+    lambda_dim,
     nil_invariance_report,
     smith_normal_form,
-    sphere_dim,
 )
 
 Z = AbelianGroup.free(1)
@@ -57,7 +57,7 @@ def test_criterion_1_sphere_smash_homology_scan(scan):
         if i < 1 or i % k == 0:
             continue
         pieces += 1
-        d2 = sphere_dim(i, k)
+        d2 = 2 * lambda_dim(i, k)
         want = {d2: Z, d2 + 1: Z}
         got = {l: g for l, g in groups.items() if not g.is_trivial}
         assert got == want, (k, i, got)

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import cycbar.cli
+import cycbar.homology
 from cycbar.cli import UsageError, _parse_weight_range, _worker_count, main
-from cycbar.cyclic_bar import CyclicBar
+from cycbar.cyclic_bar import CyclicBar, WeightComponent
+from cycbar.homology import ChainComplex
 
 
 def run(capsys, *argv):
@@ -121,6 +124,55 @@ def test_verify_enumerates_each_weight_once(capsys, monkeypatch):
     assert calls == list(range(8))
 
 
+def test_selftest_computes_each_weight_once(capsys, monkeypatch):
+    enumerated, built = [], []
+    enumerate_weight_component = CyclicBar.enumerate_weight_component
+
+    def counted_enumerate(bar, i):
+        enumerated.append((bar.k, i))
+        return enumerate_weight_component(bar, i)
+
+    # wrapped wherever it is looked up, so a build inside the library counts
+    for module in (cycbar.cli, cycbar.homology):
+        build = module.chain_complex
+
+        def counted_build(wc, build=build):
+            built.append((wc.k, wc.i))
+            return build(wc)
+
+        monkeypatch.setattr(module, "chain_complex", counted_build)
+    monkeypatch.setattr(CyclicBar, "enumerate_weight_component", counted_enumerate)
+    code, _, _ = run(capsys, "selftest")
+    assert code == 0
+    weights = [(k, i) for k in (2, 3, 4) for i in range(11)]
+    assert enumerated == built == weights
+
+
+def test_jobs_only_where_weights_fan_out(capsys):
+    for argv in (
+        ["tp", "--p", "2", "--k", "3", "--j", "1", "--truncate", "5"],
+        ["verdict", "--p", "2", "--k", "4"],
+        ["selftest"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "2"])
+        assert exc.value.code == 2
+    assert run(capsys, "homology", "--k", "2", "--i", "1", "--jobs", "0")[0] == 2
+    assert run(capsys, "verify", "--k", "2", "--max-i", "1", "--jobs", "0")[0] == 2
+
+
+def test_verdict_large_prime_is_bounded(capsys):
+    code, out, _ = run(capsys, "verdict", "--p", "1000000000000000003", "--k", "2",
+                       "--format", "json")
+    assert code == 0
+    node = json.loads(out)["verdicts"]
+    assert node["witness_weight"] == 10**18 + 3
+    assert node["exponent_sup"] == "infinity"
+    code, _, err = run(capsys, "verdict", "--p", str(2**127 - 1), "--k", "2")
+    assert code == 2
+    assert "only decided below" in err
+
+
 def test_worker_count_is_bounded(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     assert _worker_count(1, 10) == 1
@@ -193,6 +245,73 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+def _break_selftest(monkeypatch, check):
+    """Make one selftest check fail, and only at chosen (k, i)."""
+    if check == "identities":
+        cyclic = CyclicBar.cyclic
+        # a rotation that does nothing breaks the cyclic relations at k=3
+        monkeypatch.setattr(
+            CyclicBar, "cyclic",
+            lambda bar, s: s if bar.k == 3 else cyclic(bar, s),
+        )
+    elif check == "boundary":
+        monkeypatch.setattr(
+            ChainComplex, "boundary_composes_to_zero",
+            lambda cx: (cx.k, cx.i) not in {(3, 6), (4, 2)},
+        )
+    elif check == "euler":
+        count = WeightComponent.alternating_count
+        monkeypatch.setattr(
+            WeightComponent, "alternating_count",
+            lambda wc: 5 if (wc.k, wc.i) in {(3, 7), (4, 1)} else count(wc),
+        )
+    else:
+        groups = cycbar.homology.homology_groups
+        monkeypatch.setattr(
+            cycbar.homology, "homology_groups",
+            lambda cx: {} if (cx.k, cx.i) in {(3, 5), (4, 1)} else groups(cx),
+        )
+
+
+SELFTEST_PASS = {
+    "identities": "PASS  operator identities (1683 simplices checked)",
+    "boundary": "PASS  boundary squares to zero (33 complexes checked)",
+    "euler": "PASS  alternating counts vanish (30 weights checked)",
+    "sphere": "PASS  homology matches the closed form (20 weight pieces matched)",
+}
+SELFTEST_FAIL = {
+    "identities": "FAIL  operator identities (k=3: 5165 violations)",
+    "boundary": "FAIL  boundary squares to zero "
+    "(boundary fails to square to zero at k=3, i=6)",
+    "euler": "FAIL  alternating counts vanish (alternating count 5 at k=3, i=7)",
+    "sphere": "FAIL  homology matches the closed form "
+    "(homology mismatch at k=3, i=5)",
+}
+
+
+def test_selftest_failure_details(capsys, monkeypatch):
+    # each check alone, then all four at once: the first failing (k, i)
+    # in k-then-i order is reported, and the other checks are unaffected
+    for broken in [[c] for c in SELFTEST_FAIL] + [list(SELFTEST_FAIL)]:
+        with monkeypatch.context() as m:
+            for check in broken:
+                _break_selftest(m, check)
+            code, out, _ = run(capsys, "selftest")
+            json_code, json_out, _ = run(capsys, "selftest", "--format", "json")
+        want = [
+            SELFTEST_FAIL[c] if c in broken else SELFTEST_PASS[c]
+            for c in SELFTEST_PASS
+        ]
+        assert code == json_code == 1
+        assert out.splitlines() == want + ["selftest: CHECKS FAILED"]
+        tree = json.loads(json_out)
+        assert tree["ok"] is False
+        assert [
+            f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']} ({c['detail']})"
+            for c in tree["checks"]
+        ] == want
 
 
 def test_usage_errors_exit_2(capsys):

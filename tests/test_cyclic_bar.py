@@ -103,13 +103,6 @@ def test_top_degree_is_weight():
             assert wc.simplices_by_degree[i] == ((0,) + (1,) * i,)
 
 
-def test_enumerate_respects_max_degree():
-    bar = CyclicBar(3)
-    full = bar.enumerate_weight_component(5)
-    part = bar.enumerate_weight_component(5, max_degree=2)
-    assert part.simplices_by_degree == full.simplices_by_degree[:3]
-
-
 def test_enumerate_against_brute_force():
     # independent route: filter the full cube of exponent tuples
     for k in (2, 3, 4):
@@ -151,13 +144,6 @@ def test_generated_equals_enumerated_small():
         bar = CyclicBar(k)
         for i in range(1, 7):
             assert bar.generated_cyclic_subset(i) == bar.enumerate_weight_component(i)
-
-
-def test_generated_respects_max_degree():
-    bar = CyclicBar(3)
-    full = bar.enumerate_weight_component(5)
-    part = bar.generated_cyclic_subset(5, max_degree=3)
-    assert part.simplices_by_degree == full.simplices_by_degree[:4]
 
 
 def test_faces_stay_nondegenerate():

@@ -1,10 +1,13 @@
+import ast
 import random
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cycbar.homology
 from cycbar.cyclic_bar import CyclicBar, WeightComponent
 from cycbar.homology import (
     AbelianGroup,
@@ -225,24 +228,40 @@ def test_euler_characteristic_consistency():
 
 
 def test_verify_weight_piece_matches():
-    rep = verify_weight_piece(CyclicBar(4).enumerate_weight_component(3))
+    rep = verify_weight_piece(chain_complex(CyclicBar(4).enumerate_weight_component(3)))
     assert rep.matches
     assert {l: g for l, g in rep.computed.items() if not g.is_trivial} == {
         0: Z,
         1: Z,
     }
-    rep = verify_weight_piece(CyclicBar(2).enumerate_weight_component(5))
+    rep = verify_weight_piece(chain_complex(CyclicBar(2).enumerate_weight_component(5)))
     assert rep.matches
     assert (rep.k, rep.i) == (2, 5)
     assert rep.expected == {4: Z, 5: Z}
 
 
 def test_verify_weight_piece_rejects_multiples():
-    for k, i in ((2, 4), (3, 3), (2, 0)):
-        with pytest.raises(ValueError):
-            verify_weight_piece(CyclicBar(k).enumerate_weight_component(i))
-    with pytest.raises(ValueError):
-        verify_weight_piece(WeightComponent(2, -1))
+    for k, i, reason in ((2, 4, "multiple of 2"), (3, 3, "multiple of 3"),
+                         (2, 0, "positive integer")):
+        cx = chain_complex(CyclicBar(k).enumerate_weight_component(i))
+        with pytest.raises(ValueError, match=reason):
+            verify_weight_piece(cx)
+    cx = chain_complex(WeightComponent(2, -1))
+    with pytest.raises(ValueError, match="positive integer"):
+        verify_weight_piece(cx)
+
+
+def test_homology_does_not_import_tate_tp():
+    # the closed form lives beside its check; tate_tp depends on homology only
+    tree = ast.parse(Path(cycbar.homology.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(alias.name for alias in node.names)
+    assert not any("tate_tp" in name for name in imported), imported
 
 
 def test_torsion_outside_closed_form_weights():

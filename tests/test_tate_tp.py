@@ -3,15 +3,20 @@ from math import inf
 import pytest
 from hypothesis import given, strategies as st
 
-from cycbar.homology import AbelianGroup, ZERO_GROUP
-from cycbar.tate_tp import (
-    exponent_sup,
+from cycbar.homology import (
+    ZERO_GROUP,
+    AbelianGroup,
     expected_reduced_homology,
     lambda_dim,
+)
+from cycbar.tate_tp import (
+    PRIME_BOUND,
+    _is_prime,
+    _require_prime,
+    exponent_sup,
     nil_invariance_report,
     p_adic_valuation,
     relative_tp,
-    sphere_dim,
     tate_cpn_homotopy,
     weight_piece_exponent,
     weight_piece_tp,
@@ -39,6 +44,42 @@ def test_valuation_rejects_bad_input():
         p_adic_valuation(1, 3)
 
 
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _accepts_prime(p):
+    try:
+        _require_prime(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_prime_check_agrees_with_trial_division():
+    assert all(
+        _accepts_prime(n) == _trial_division_is_prime(n) for n in range(-2, 20000)
+    )
+
+
+def test_prime_check_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="composite"):
+            _require_prime(n)
+    assert _accepts_prime(10**18 + 3)
+    assert _accepts_prime(2**61 - 1)
+
+
+def test_prime_check_refuses_beyond_its_bound():
+    for p in (PRIME_BOUND, PRIME_BOUND + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            _require_prime(p)
+    # the bound is the least composite that passes all 13 bases
+    assert PRIME_BOUND == 1287836182261 * 2575672364521
+    assert _is_prime(PRIME_BOUND)
+
+
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 400), st.integers(1, 400))
 def test_valuation_additive(p, a, b):
     assert p_adic_valuation(p, a * b) == p_adic_valuation(p, a) + p_adic_valuation(p, b)
@@ -51,9 +92,6 @@ def test_lambda_dim_table():
     assert lambda_dim(5, 2) == 2
     assert lambda_dim(12, 3) == 3
     assert lambda_dim(13, 3) == 4
-    for k in (2, 3, 4):
-        for i in range(1, 20):
-            assert sphere_dim(i, k) == 2 * lambda_dim(i, k)
     with pytest.raises(ValueError):
         lambda_dim(0, 2)
     with pytest.raises(ValueError):
@@ -154,7 +192,7 @@ def test_degree_offset_and_parity_share_lambda_dim():
             if i % k == 0:
                 continue
             degrees = sorted(expected_reduced_homology(i, k))
-            d2 = sphere_dim(i, k)
+            d2 = 2 * lambda_dim(i, k)
             assert degrees == [d2, d2 + 1]
             for j in range(-3, 4):
                 factor = weight_piece_tp(2, k, i, j)
