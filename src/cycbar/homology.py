@@ -12,11 +12,16 @@ k, the weight-i component has the homology of S^(2d) smashed with a
 disjointly based circle, d = floor((i-1)/k) (Hesselholt and Madsen,
 Invent. Math. 1997).
 
-Homology is read off Smith normal forms of the boundary matrices.  All
-arithmetic is exact over arbitrary-precision integers: boundary matrices
-are kept as sparse (row, col, value) triplets and densified one matrix at
-a time for the diagonalization, which picks pivots of minimal absolute
-value and reduces with extended-gcd row/column operations.
+Homology is read off Smith normal forms of the boundary matrices, in
+two stages (Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
+homology based on efficient Smith normal form algorithms", 2003).  All
+arithmetic is exact over arbitrary-precision integers.  Boundary matrices
+are kept as sparse (row, col, value) triplets.  First, +-1 pivots are
+eliminated on the sparse rows, sparsest column first; each contributes an
+invariant factor 1 and removes one row and one column.  Only the small
+residual left without unit entries is densified, for a diagonalization
+that picks pivots of minimal absolute value and reduces with
+extended-gcd row/column operations.
 """
 
 from dataclasses import dataclass
@@ -194,6 +199,74 @@ def smith_normal_form(matrix):
     return inv + [0] * (size - len(inv))
 
 
+def _eliminate_unit_pivots(triplets):
+    """Eliminate +-1 pivots of a sparse integer matrix.
+
+    Takes (row, col, value) triplets and returns (u, residual): u pivots
+    were removed, each an invariant factor 1, and ``residual`` holds the
+    nonzero rows of what is left, densified over its nonzero columns, so
+    the Smith form is [1] * u + smith_normal_form(residual), padded with
+    zeros.  The column with the fewest entries that holds a unit goes
+    first, and in it the unit whose row has the fewest entries (ties by
+    index); this Markowitz-style order keeps fill low.  Integer row
+    operations clear the pivot column; the pivot row is then cleared by
+    column operations that touch nothing else, so both are dropped.
+    """
+    # imported on first use, so that importing cycbar stays as cheap as it was
+    import heapq
+
+    rows, cols = {}, {}
+    for r, c, v in triplets:
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    heap = [(len(rs), c) for c, rs in cols.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, pc = heapq.heappop(heap)
+        if len(cols.get(pc, ())) != size:
+            continue  # stale: the column changed or is gone
+        candidates = [(len(rows[r]), r) for r in cols[pc] if rows[r][pc] in (1, -1)]
+        if not candidates:
+            continue  # requeued if a later row operation changes it
+        _, best = min(candidates)
+        pivot_row = rows.pop(best)
+        p = pivot_row[pc]
+        del pivot_row[pc]
+        for r in cols.pop(pc) - {best}:
+            row = rows[r]
+            q = row.pop(pc) * p
+            for c, v in pivot_row.items():
+                w = row.get(c, 0) - q * v
+                if w:
+                    row[c] = w
+                    cols[c].add(r)
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+        for c in pivot_row:
+            cols[c].discard(best)
+            heapq.heappush(heap, (len(cols[c]), c))
+        units += 1
+    keep = sorted(c for c, rs in cols.items() if rs)
+    at = {c: j for j, c in enumerate(keep)}
+    residual = []
+    for r in sorted(rows):
+        if rows[r]:
+            dense = [0] * len(keep)
+            for c, v in rows[r].items():
+                dense[at[c]] = v
+            residual.append(dense)
+    return units, residual
+
+
+def _invariant_factors(triplets, m, n):
+    """Smith form diagonal of the m x n matrix given by sparse triplets."""
+    units, residual = _eliminate_unit_pivots(triplets)
+    out = [1] * units + smith_normal_form(residual)
+    return out + [0] * (min(m, n) - len(out))
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """Normalized reduced chains of one weight component.
@@ -285,12 +358,17 @@ def homology_groups(cx):
     """Integral homology of the complex, one AbelianGroup per degree 0..top.
 
     Degree l has rank dim_l - rank(d_l) - rank(d_{l+1}) and torsion the
-    invariant factors of d_{l+1} exceeding 1.
+    invariant factors of d_{l+1} exceeding 1.  Each d_l is reduced in two
+    stages (Dumas, Heckenbach, Saunders and Welker, 2003): +-1 pivots are
+    eliminated on its sparse triplets, and only the residual without unit
+    entries goes to the dense ``smith_normal_form``.
     """
     top = cx.top_degree
     factors = {}
     for l in range(1, top + 1):
-        factors[l] = smith_normal_form(cx.boundary_matrix(l))
+        factors[l] = _invariant_factors(
+            cx.boundaries[l], cx.dimension(l - 1), cx.dimension(l)
+        )
     ranks = {l: sum(1 for d in f if d) for l, f in factors.items()}
     out = {}
     for l in range(top + 1):

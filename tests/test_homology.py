@@ -12,6 +12,8 @@ from cycbar.cyclic_bar import CyclicBar, WeightComponent
 from cycbar.homology import (
     AbelianGroup,
     ZERO_GROUP,
+    _eliminate_unit_pivots,
+    _invariant_factors,
     chain_complex,
     homology_groups,
     smith_normal_form,
@@ -272,3 +274,113 @@ def test_torsion_outside_closed_form_weights():
     h = homology_groups(chain_complex(CyclicBar(3).enumerate_weight_component(3)))
     nonzero = {l: str(g) for l, g in h.items() if not g.is_trivial}
     assert nonzero == {1: "Z/3"}
+
+
+# --- sparse unit-pivot elimination against the dense Smith form -----------
+
+
+def _triplets(matrix):
+    return [(r, c, v) for r, row in enumerate(matrix) for c, v in enumerate(row) if v]
+
+
+def _factors(matrix):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    return _invariant_factors(_triplets(matrix), m, n)
+
+
+# mostly 0 and +-1, some +-2 and +-3; the second pool has no unit at all
+_MIXED = (0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3)
+_NO_UNIT = (0, 0, 0, 2, -2, 3, -3)
+
+
+@st.composite
+def sparse_matrices(draw):
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 8)) if m else 0
+    pool = draw(st.sampled_from((_MIXED, _NO_UNIT)))
+    a = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(m)]
+    for r in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)):
+        a[r] = [0] * n
+    for c in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+        for row in a:
+            row[c] = 0
+    return a
+
+
+def test_unit_pivot_examples():
+    assert _eliminate_unit_pivots([]) == (0, [])
+    assert _eliminate_unit_pivots(_triplets([[2, 4], [6, 8]])) == (0, [[2, 4], [6, 8]])
+    # one pivot at (0, 0) leaves the 1x1 residual 8 - 2*3
+    assert _eliminate_unit_pivots(_triplets([[1, 3], [2, 8]])) == (1, [[2]])
+    # zero rows and columns are dropped from the residual
+    assert _eliminate_unit_pivots(_triplets([[0, 0, 0], [0, 2, 0]])) == (0, [[2]])
+    assert _factors([[0, 0, 0], [0, 2, 0]]) == [2, 0]
+    assert _factors([[1, 1], [1, -1]]) == [1, 2]
+    assert _factors([[-1]]) == [1]
+    assert _factors([[], []]) == []
+
+
+def test_unit_pivots_leave_input_alone():
+    cells = [(0, 0, 1), (0, 1, 3), (1, 0, 2), (1, 1, 8)]
+    snapshot = list(cells)
+    _eliminate_unit_pivots(cells)
+    assert cells == snapshot
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_matrices())
+def test_unit_pivots_then_dense_equal_dense(a):
+    assert _factors(a) == smith_normal_form(a), a
+
+
+def test_unit_pivots_against_minor_gcd_oracle():
+    rng = random.Random(20261018)
+    pool = _MIXED
+    for _ in range(200):
+        m = rng.randint(0, 6)
+        n = rng.randint(0, 6) if m else 0
+        a = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        assert _factors(a) == snf_by_minor_gcd(a), a
+
+
+def _groups_from_factors(cx, factors):
+    ranks = {l: sum(1 for d in f if d) for l, f in factors.items()}
+    return {
+        l: AbelianGroup(
+            cx.dimension(l) - ranks.get(l, 0) - ranks.get(l + 1, 0),
+            tuple(d for d in factors.get(l + 1, ()) if d > 1),
+        )
+        for l in range(cx.top_degree + 1)
+    }
+
+
+def test_reduction_agrees_with_dense_over_acceptance_scan():
+    for k in (2, 3, 4, 5):
+        bar = CyclicBar(k)
+        for i in range(0, 13):
+            cx = chain_complex(bar.enumerate_weight_component(i))
+            snapshot = [list(b) for b in cx.boundaries]
+            dense = {}
+            for l in range(1, cx.top_degree + 1):
+                dense[l] = smith_normal_form(cx.boundary_matrix(l))
+                sparse = _invariant_factors(
+                    cx.boundaries[l], cx.dimension(l - 1), cx.dimension(l)
+                )
+                assert sparse == dense[l], (k, i, l)
+            groups = homology_groups(cx)
+            assert groups == _groups_from_factors(cx, dense), (k, i)
+            assert [list(b) for b in cx.boundaries] == snapshot, (k, i)
+            assert homology_groups(cx) == groups, (k, i)
+
+
+def _nontrivial(k, i):
+    h = homology_groups(chain_complex(CyclicBar(k).enumerate_weight_component(i)))
+    return {l: str(g) for l, g in h.items() if not g.is_trivial}
+
+
+def test_homology_beyond_dense_reach():
+    # 5,744 cells: the closed form, Z in degrees 2d and 2d+1 with d = 2
+    assert _nontrivial(5, 13) == {4: "Z", 5: "Z"}
+    # 8,362 cells, 3 | 18: a single Z/3 in degree 2d+1 with d = 5
+    assert _nontrivial(3, 18) == {11: "Z/3"}
