@@ -11,66 +11,11 @@ The package computes, exactly over the integers:
 See the ``cycbar`` command line tool for report generation.
 """
 
-from .cyclic_bar import (
-    BASEPOINT,
-    CyclicBar,
-    WeightComponent,
-    identity_report,
-    identity_violations,
-    is_degenerate,
-    simplex_weight,
-)
-from .homology import (
-    AbelianGroup,
-    ChainComplex,
-    WeightPieceReport,
-    chain_complex,
-    expected_reduced_homology,
-    homology_groups,
-    lambda_dim,
-    smith_normal_form,
-    verify_weight_piece,
-)
-from .tate_tp import (
-    CyclicFactor,
-    NilInvariance,
-    TPReport,
-    exponent_sup,
-    nil_invariance_report,
-    p_adic_valuation,
-    relative_tp,
-    tate_cpn_homotopy,
-    weight_piece_exponent,
-    weight_piece_tp,
-)
+from . import cyclic_bar, homology, tate_tp
+from .cyclic_bar import *  # noqa: F401,F403
+from .homology import *  # noqa: F401,F403
+from .tate_tp import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASEPOINT",
-    "AbelianGroup",
-    "ChainComplex",
-    "CyclicBar",
-    "CyclicFactor",
-    "NilInvariance",
-    "TPReport",
-    "WeightComponent",
-    "WeightPieceReport",
-    "chain_complex",
-    "exponent_sup",
-    "expected_reduced_homology",
-    "homology_groups",
-    "identity_report",
-    "identity_violations",
-    "is_degenerate",
-    "lambda_dim",
-    "nil_invariance_report",
-    "p_adic_valuation",
-    "relative_tp",
-    "simplex_weight",
-    "smith_normal_form",
-    "tate_cpn_homotopy",
-    "verify_weight_piece",
-    "weight_piece_exponent",
-    "weight_piece_tp",
-]
+__all__ = cyclic_bar.__all__ + homology.__all__ + tate_tp.__all__

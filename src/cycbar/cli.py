@@ -13,7 +13,7 @@ Commands:
 Reports render as text or as a single JSON tree (``--format json``) with
 stable field names and sorted keys, so identical inputs give identical
 bytes.  Exit codes: 0 on success, 1 when a mathematical check fails, 2
-for usage or validation errors.
+for usage or validation errors, an unwritable ``--out`` included.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from math import inf
 from pathlib import Path
@@ -31,28 +30,11 @@ from .cyclic_bar import CyclicBar, identity_violations
 from .homology import ZERO_GROUP, chain_complex, homology_groups, verify_weight_piece
 from .tate_tp import nil_invariance_report, relative_tp
 
-__all__ = ["main", "RunConfig", "UsageError"]
+__all__ = ["main", "UsageError"]
 
 
 class UsageError(ValueError):
     """Bad command line input; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one invocation."""
-
-    command: str
-    fmt: str = "text"
-    out: str | None = None
-    jobs: int = 1
-    k: int | None = None
-    p: int | None = None
-    i_lo: int | None = None
-    i_hi: int | None = None
-    j: int | None = None
-    max_i: int | None = None
-    truncate: int | None = None
 
 
 def _parse_weight_range(text):
@@ -100,12 +82,14 @@ def build_parser():
     sp.add_argument("--i", required=True, help="weight or inclusive range A..B")
     common(sp)
     jobs(sp)
+    sp.set_defaults(handler=cmd_homology)
 
     sp = sub.add_parser("verify", help="check homology against the closed form")
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--max-i", type=int, required=True, help="largest weight checked")
     common(sp)
     jobs(sp)
+    sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("tp", help="factor table of the relative periodic theory")
     sp.add_argument("--p", type=int, required=True, help="prime")
@@ -113,44 +97,39 @@ def build_parser():
     sp.add_argument("--j", type=int, required=True, help="degree")
     sp.add_argument("--truncate", type=int, required=True, help="largest weight listed")
     common(sp)
+    sp.set_defaults(handler=cmd_tp)
 
     sp = sub.add_parser("verdict", help="nil-invariance verdicts")
     sp.add_argument("--p", type=int, required=True, help="prime")
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     common(sp)
+    sp.set_defaults(handler=cmd_verdict)
 
     sp = sub.add_parser("selftest", help="run the built-in property suite")
     common(sp)
+    sp.set_defaults(handler=cmd_selftest)
 
     return parser
 
 
-def _config_from_args(args):
-    cfg = RunConfig(command=args.command, fmt=args.fmt, out=args.out)
-    if cfg.command in ("homology", "verify"):
-        cfg.jobs = args.jobs
-        if cfg.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {cfg.jobs}")
-    if cfg.command in ("homology", "verify", "tp", "verdict"):
-        cfg.k = args.k
-        if cfg.k < 2:
-            raise UsageError(f"--k must be >= 2, got {cfg.k}")
-    if cfg.command == "homology":
-        cfg.i_lo, cfg.i_hi = _parse_weight_range(args.i)
-    if cfg.command == "verify":
-        cfg.max_i = args.max_i
-        if cfg.max_i < 1:
-            raise UsageError(f"--max-i must be >= 1, got {cfg.max_i}")
-    if cfg.command in ("tp", "verdict"):
-        cfg.p = args.p
-        if cfg.p < 2:
-            raise UsageError(f"--p must be a prime >= 2, got {cfg.p}")
-    if cfg.command == "tp":
-        cfg.j = args.j
-        cfg.truncate = args.truncate
-        if cfg.truncate < 1:
-            raise UsageError(f"--truncate must be >= 1, got {cfg.truncate}")
-    return cfg
+def _check_args(args):
+    """Refuse out-of-range values in a fixed order; parse --i into i_lo, i_hi.
+
+    Each subcommand has only its own options, so an absent one passes.
+    """
+    given = vars(args)
+    if given.get("jobs", 1) < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if given.get("k", 2) < 2:
+        raise UsageError(f"--k must be >= 2, got {args.k}")
+    if "i" in given:
+        args.i_lo, args.i_hi = _parse_weight_range(args.i)
+    if given.get("max_i", 1) < 1:
+        raise UsageError(f"--max-i must be >= 1, got {args.max_i}")
+    if given.get("p", 2) < 2:
+        raise UsageError(f"--p must be a prime >= 2, got {args.p}")
+    if given.get("truncate", 1) < 1:
+        raise UsageError(f"--truncate must be >= 1, got {args.truncate}")
 
 
 def _group_node(group):
@@ -253,30 +232,30 @@ def _verdict_lines(node, indent=""):
     ]
 
 
-def cmd_homology(cfg):
-    weights = range(cfg.i_lo, cfg.i_hi + 1)
-    entries = _run_jobs(partial(_homology_entry, cfg.k), weights, cfg.jobs)
+def cmd_homology(args):
+    weights = range(args.i_lo, args.i_hi + 1)
+    entries = _run_jobs(partial(_homology_entry, args.k), weights, args.jobs)
     tree = {
         "tool": "cycbar",
         "command": "homology",
-        "config": {"k": cfg.k, "i_min": cfg.i_lo, "i_max": cfg.i_hi},
+        "config": {"k": args.k, "i_min": args.i_lo, "i_max": args.i_hi},
         "components": entries,
     }
     lines = []
     for entry in entries:
-        lines.append(f"weight component k={cfg.k}, i={entry['i']}")
+        lines.append(f"weight component k={args.k}, i={entry['i']}")
         lines.append("  degree  basis  homology")
         for row in entry["degrees"]:
             lines.append(
                 f"  {row['degree']:>6} {row['basis_size']:>6}  "
                 f"{row['homology']['name']}"
             )
-    _emit(tree, lines, cfg)
+    _emit(tree, lines, args)
     return 0
 
 
-def cmd_verify(cfg):
-    results = _run_jobs(partial(_verify_weight, cfg.k), range(cfg.max_i + 1), cfg.jobs)
+def cmd_verify(args):
+    results = _run_jobs(partial(_verify_weight, args.k), range(args.max_i + 1), args.jobs)
     entries, euler, checked, violations = [], [], 0, []
     for i, (entry, count, simplices, bad) in enumerate(results):
         if entry is not None:
@@ -293,7 +272,7 @@ def cmd_verify(cfg):
     tree = {
         "tool": "cycbar",
         "command": "verify",
-        "config": {"k": cfg.k, "max_i": cfg.max_i},
+        "config": {"k": args.k, "max_i": args.max_i},
         "weight_pieces": entries,
         "euler": euler,
         "identities": {
@@ -302,7 +281,7 @@ def cmd_verify(cfg):
         },
         "ok": ok,
     }
-    lines = [f"verify k={cfg.k} for weights 1..{cfg.max_i}"]
+    lines = [f"verify k={args.k} for weights 1..{args.max_i}"]
     lines.append("  sphere-smash closed form:")
     for e in entries:
         if e["match"]:
@@ -324,22 +303,22 @@ def cmd_verify(cfg):
         f"  operator identities: {checked} simplices, {len(violations)} violations"
     )
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    _emit(tree, lines, cfg)
+    _emit(tree, lines, args)
     return 0 if ok else 1
 
 
-def cmd_tp(cfg):
-    report = relative_tp(cfg.p, cfg.k, cfg.j, cfg.truncate)
+def cmd_tp(args):
+    report = relative_tp(args.p, args.k, args.j, args.truncate)
     tree = {
         "tool": "cycbar",
         "command": "tp",
         "config": {
-            "p": cfg.p,
-            "k": cfg.k,
-            "j": cfg.j,
-            "truncate": cfg.truncate,
+            "p": args.p,
+            "k": args.k,
+            "j": args.j,
+            "truncate": args.truncate,
         },
-        "parity": "odd" if cfg.j % 2 else "even",
+        "parity": "odd" if args.j % 2 else "even",
         "truncated": report.truncated,
         "factors": [
             {
@@ -354,7 +333,7 @@ def cmd_tp(cfg):
         "verdicts": _verdict_node(report.verdicts),
     }
     lines = [
-        f"relative periodic theory for p={cfg.p}, k={cfg.k}, degree j={cfg.j}"
+        f"relative periodic theory for p={args.p}, k={args.k}, degree j={args.j}"
     ]
     if report.factors:
         lines.append("  weight  k|i  factor")
@@ -364,28 +343,28 @@ def cmd_tp(cfg):
                 f"{f['group']} (exponent {f['exponent']})"
             )
         lines.append(
-            f"  truncated at weight {cfg.truncate}; higher weights follow the "
+            f"  truncated at weight {args.truncate}; higher weights follow the "
             "same two-case exponent rule"
         )
     else:
         lines.append("  the group vanishes in even degrees (no factors)")
     lines.append("verdicts:")
     lines.extend(_verdict_lines(tree["verdicts"], indent="  "))
-    _emit(tree, lines, cfg)
+    _emit(tree, lines, args)
     return 0
 
 
-def cmd_verdict(cfg):
-    node = _verdict_node(nil_invariance_report(cfg.p, cfg.k))
+def cmd_verdict(args):
+    node = _verdict_node(nil_invariance_report(args.p, args.k))
     tree = {
         "tool": "cycbar",
         "command": "verdict",
-        "config": {"p": cfg.p, "k": cfg.k},
+        "config": {"p": args.p, "k": args.k},
         "verdicts": node,
     }
-    lines = [f"nil-invariance verdicts for p={cfg.p}, k={cfg.k}"]
+    lines = [f"nil-invariance verdicts for p={args.p}, k={args.k}"]
     lines.extend(_verdict_lines(node, indent="  "))
-    _emit(tree, lines, cfg)
+    _emit(tree, lines, args)
     return 0
 
 
@@ -393,7 +372,7 @@ SELFTEST_K = (2, 3, 4)
 SELFTEST_MAX_WEIGHT = 10
 
 
-def cmd_selftest(cfg):
+def cmd_selftest(args):
     """Every check at each (k, i), from one enumeration and one complex.
 
     A failed check reports its first failing (k, i), k outer and i inner;
@@ -455,35 +434,29 @@ def cmd_selftest(cfg):
         for r in results
     ]
     lines.append(f"selftest: {'all checks passed' if ok else 'CHECKS FAILED'}")
-    _emit(tree, lines, cfg)
+    _emit(tree, lines, args)
     return 0 if ok else 1
 
 
-def _emit(tree, lines, cfg):
-    if cfg.fmt == "json":
+def _emit(tree, lines, args):
+    if args.fmt == "json":
         payload = json.dumps(tree, indent=2, sort_keys=True) + "\n"
     else:
         payload = "\n".join(lines) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(payload)
+    if args.out:
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(payload)
-
-
-_HANDLERS = {
-    "homology": cmd_homology,
-    "verify": cmd_verify,
-    "tp": cmd_tp,
-    "verdict": cmd_verdict,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        _check_args(args)
+        return args.handler(args)
     except ValueError as exc:
         # UsageError and validation errors from the library both land here
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+def _require_order(k):
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"truncation order must be an integer >= 2, got {k!r}")
+
+
 def simplex_weight(s):
     """Sum of the exponents, or None for the basepoint simplex."""
     if s is BASEPOINT:
@@ -103,8 +108,7 @@ class CyclicBar:
     """Cyclic bar construction of the truncated monoid with x^k = 0."""
 
     def __init__(self, k):
-        if not isinstance(k, int) or k < 2:
-            raise ValueError(f"truncation order must be an integer >= 2, got {k!r}")
+        _require_order(k)
         self.k = k
 
     def __repr__(self):

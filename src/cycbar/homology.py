@@ -27,7 +27,7 @@ extended-gcd row/column operations.
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclic_bar import BASEPOINT, CyclicBar, WeightComponent
+from .cyclic_bar import BASEPOINT, CyclicBar, WeightComponent, _require_order
 
 __all__ = [
     "AbelianGroup",
@@ -391,11 +391,6 @@ class WeightPieceReport:
     @property
     def matches(self):
         return not self.mismatched_degrees
-
-
-def _require_order(k):
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"truncation order must be an integer >= 2, got {k!r}")
 
 
 def _require_weight(i):

@@ -25,7 +25,8 @@ exponents are bounded, which happens exactly when k is a power of p.
 from dataclasses import dataclass
 from math import inf
 
-from .homology import ZERO_GROUP, AbelianGroup, _require_order, _require_weight
+from .cyclic_bar import _require_order
+from .homology import ZERO_GROUP, AbelianGroup, _require_weight
 
 __all__ = [
     "CyclicFactor",
@@ -89,9 +90,13 @@ def p_adic_valuation(p, i):
     """Largest e with p^e dividing i; i must be a nonzero positive integer."""
     _require_prime(p)
     _require_weight(i)
+    return _valuation(p, i)
+
+
+def _valuation(p, n):
     e = 0
-    while i % p == 0:
-        i //= p
+    while n % p == 0:
+        n //= p
         e += 1
     return e
 
@@ -114,10 +119,10 @@ def tate_cpn_homotopy(p, n, j):
 
 def weight_piece_exponent(p, k, i):
     """Exponent e of the odd-degree factor Z/p^e contributed by weight i."""
+    _require_prime(p)
     _require_order(k)
-    if i % k == 0:
-        return p_adic_valuation(p, k)
-    return p_adic_valuation(p, i)
+    _require_weight(i)
+    return _factor(p, k, i, 1).exponent
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,12 @@ class CyclicFactor:
         return str(self.group)
 
 
+def _factor(p, k, i, j):
+    """Weight i's degree-j factor, for arguments already checked."""
+    exponent = _valuation(p, k if i % k == 0 else i) if j % 2 == 1 else 0
+    return CyclicFactor(p, i, exponent, i % k == 0)
+
+
 def weight_piece_tp(p, k, i, j):
     """The degree-j contribution of weight i to the relative periodic theory.
 
@@ -155,8 +166,7 @@ def weight_piece_tp(p, k, i, j):
     _require_prime(p)
     _require_order(k)
     _require_weight(i)
-    exponent = weight_piece_exponent(p, k, i) if j % 2 == 1 else 0
-    return CyclicFactor(p, i, exponent, i % k == 0)
+    return _factor(p, k, i, j)
 
 
 @dataclass(frozen=True)
@@ -212,7 +222,7 @@ def relative_tp(p, k, j, truncation):
     if not isinstance(truncation, int) or truncation < 1:
         raise ValueError(f"truncation must be a positive integer, got {truncation!r}")
     if j % 2 == 1:
-        factors = tuple(weight_piece_tp(p, k, i, j) for i in range(1, truncation + 1))
+        factors = tuple(_factor(p, k, i, j) for i in range(1, truncation + 1))
         truncated = True
     else:
         factors = ()
@@ -230,7 +240,7 @@ def exponent_sup(p, k):
     """
     _require_prime(p)
     _require_order(k)
-    r = p_adic_valuation(p, k)
+    r = _valuation(p, k)
     return r if k == p**r else inf
 
 
@@ -253,6 +263,6 @@ def nil_invariance_report(p, k):
         integral_iso=False,
         p_inverted_iso=sup is not inf,
         witness_weight=witness,
-        witness_exponent=weight_piece_exponent(p, k, witness),
+        witness_exponent=_factor(p, k, witness, 1).exponent,
         exponent_sup=sup,
     )

@@ -328,6 +328,45 @@ def test_usage_errors_exit_2(capsys):
     assert "error:" in err
 
 
+USAGE_ERRORS = [
+    (("homology", "--k", "1", "--i", "1"), "--k must be >= 2, got 1"),
+    (("verify", "--k", "2", "--max-i", "0"), "--max-i must be >= 1, got 0"),
+    (("verdict", "--p", "1", "--k", "2"), "--p must be a prime >= 2, got 1"),
+    (("verdict", "--p", "4", "--k", "2"), "expected a prime, got composite 4"),
+    (("tp", "--p", "4", "--k", "3", "--j", "1", "--truncate", "5"),
+     "expected a prime, got composite 4"),
+    (("tp", "--p", "2", "--k", "3", "--j", "1", "--truncate", "0"),
+     "--truncate must be >= 1, got 0"),
+    (("homology", "--k", "2", "--i", "1", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+    (("verify", "--k", "2", "--max-i", "2", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+    (("homology", "--k", "2", "--i", "5..2"), "empty weight range '5..2'"),
+    (("homology", "--k", "2", "--i", "x"), "cannot parse weight range 'x'; use N or A..B"),
+    # several bad values: the checks run in a fixed order and the first speaks
+    (("verify", "--k", "1", "--max-i", "0", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+    (("homology", "--k", "1", "--i", "x"), "--k must be >= 2, got 1"),
+    (("tp", "--p", "1", "--k", "1", "--j", "1", "--truncate", "0"),
+     "--k must be >= 2, got 1"),
+    (("tp", "--p", "1", "--k", "2", "--j", "1", "--truncate", "0"),
+     "--p must be a prime >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/report.json"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    (tmp_path / "dir").mkdir()
+    code, out, err = run(
+        capsys, "verdict", "--p", "2", "--k", "4", "--out", str(tmp_path / target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

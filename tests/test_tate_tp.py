@@ -3,6 +3,7 @@ from math import inf
 import pytest
 from hypothesis import given, strategies as st
 
+import cycbar.tate_tp as tate_tp
 from cycbar.homology import (
     ZERO_GROUP,
     AbelianGroup,
@@ -139,6 +140,14 @@ def test_weight_piece_exponent_rule():
                 assert weight_piece_exponent(p, k, i) == want
 
 
+def test_weight_piece_exponent_rejects_bad_input():
+    # weight 0 and negative weights are multiples of every k, so the
+    # weight check must come before the two-case rule
+    for p, k, i in ((2, 3, 0), (2, 3, -3), (4, 3, 1), (2, 1, 1)):
+        with pytest.raises(ValueError):
+            weight_piece_exponent(p, k, i)
+
+
 def test_relative_tp_frozen_lists():
     rep = relative_tp(2, 3, 1, 10)
     assert [f.exponent for f in rep.factors] == [0, 1, 0, 2, 0, 0, 0, 3, 0, 1]
@@ -172,6 +181,18 @@ def test_relative_tp_rejects_bad_input():
         relative_tp(2, 1, 1, 5)
     with pytest.raises(ValueError):
         relative_tp(2, 3, 1, 0)
+
+
+def test_relative_tp_checks_the_prime_once(monkeypatch):
+    calls = []
+    real = tate_tp._is_prime
+    monkeypatch.setattr(tate_tp, "_is_prime", lambda p: calls.append(p) or real(p))
+    counts = []
+    for truncation in (10, 1000):
+        calls.clear()
+        relative_tp(999999999989, 6, 1, truncation)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_expected_reduced_homology():
