@@ -235,9 +235,10 @@ def _compositions(total, parts, hi):
 def identity_violations(bar, s):
     """Instantiate every simplicial and cyclic operator identity at ``s``.
 
-    ``s`` is a nonbasepoint l-simplex.  Compositions that pass through the
-    basepoint use the absorbing convention built into the operators.  With
-    d, s, t for face, degeneracy, cyclic, the relations checked are
+    ``s`` is a nonbasepoint l-simplex; the basepoint is refused with a
+    ``ValueError``.  Compositions that pass through the basepoint use the
+    absorbing convention built into the operators.  With d, s, t for face,
+    degeneracy, cyclic, the relations checked are
 
         d_a d_b = d_{b-1} d_a            (a < b, degree >= 2)
         s_a s_b = s_{b+1} s_a            (a <= b)
@@ -248,30 +249,42 @@ def identity_violations(bar, s):
         d_0 t = d_l,   d_a t = t d_{a-1} (1 <= a <= l)
         s_0 t = t^2 s_l,  s_a t = t s_{a-1}  (1 <= a <= l)
 
+    Each operator image is computed once, through ``bar``'s own methods:
+    the faces and degeneracies of ``s``, the faces of each face and the
+    degeneracies of each degeneracy are listed first, and the relations
+    read both sides off those lists.  The relations, their messages and
+    their order are those of checking each relation from scratch.
+
     Returns a list of short descriptions of failures, empty when all hold.
     """
+    if s is BASEPOINT:
+        raise ValueError("the identity suite needs a nonbasepoint simplex, got BASEPOINT")
     bad = []
     l = len(s) - 1
     d, sg, t = bar.face, bar.degeneracy, bar.cyclic
+    # a 0-simplex has no faces
+    faces = [d(s, a) for a in range(l + 1)] if l >= 1 else []
+    degens = [sg(s, b) for b in range(l + 1)]
 
     if l >= 2:
+        ff = [[d(f, c) for c in range(l)] for f in faces]
         for b in range(1, l + 1):
             for a in range(b):
-                if d(d(s, b), a) != d(d(s, a), b - 1):
+                if ff[b][a] != ff[a][b - 1]:
                     bad.append(f"d_{a} d_{b} != d_{b-1} d_{a} at {s}")
+    ss = [[sg(g, a) for a in range(l + 2)] for g in degens]
     for b in range(l + 1):
         for a in range(b + 1):
-            if sg(sg(s, b), a) != sg(sg(s, a), b + 1):
+            if ss[b][a] != ss[a][b + 1]:
                 bad.append(f"s_{a} s_{b} != s_{b+1} s_{a} at {s}")
-    for b in range(l + 1):
-        sb = sg(s, b)
+    for b, sb in enumerate(degens):
         for a in range(l + 2):
             if a < b:
-                want = sg(d(s, a), b - 1)
+                want = sg(faces[a], b - 1)
             elif a in (b, b + 1):
                 want = s
             else:
-                want = sg(d(s, a - 1), b)
+                want = sg(faces[a - 1], b)
             if d(sb, a) != want:
                 bad.append(f"d_{a} s_{b} relation fails at {s}")
     r = s
@@ -281,15 +294,15 @@ def identity_violations(bar, s):
         bad.append(f"t^{l + 1} != id at {s}")
     ts = t(s)
     if l >= 1:
-        if d(ts, 0) != d(s, l):
+        if d(ts, 0) != faces[l]:
             bad.append(f"d_0 t != d_{l} at {s}")
         for a in range(1, l + 1):
-            if d(ts, a) != t(d(s, a - 1)):
+            if d(ts, a) != t(faces[a - 1]):
                 bad.append(f"d_{a} t != t d_{a-1} at {s}")
     for a in range(1, l + 1):
-        if sg(ts, a) != t(sg(s, a - 1)):
+        if sg(ts, a) != t(degens[a - 1]):
             bad.append(f"s_{a} t != t s_{a-1} at {s}")
-    if sg(ts, 0) != t(t(sg(s, l))):
+    if sg(ts, 0) != t(t(degens[l])):
         bad.append(f"s_0 t != t^2 s_{l} at {s}")
     return bad
 

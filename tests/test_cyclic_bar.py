@@ -211,3 +211,164 @@ def test_rotation_has_order_degree_plus_one(data):
     for _ in range(len(s)):
         r = bar.cyclic(r)
     assert r == s
+
+
+def _reference_violations(bar, s):
+    """The identity suite as it read before each image was computed once.
+
+    Every relation recomputes both of its sides from ``s``.  It is the
+    oracle that ``identity_violations`` must match message for message,
+    in the same order.
+    """
+    bad = []
+    l = len(s) - 1
+    d, sg, t = bar.face, bar.degeneracy, bar.cyclic
+
+    if l >= 2:
+        for b in range(1, l + 1):
+            for a in range(b):
+                if d(d(s, b), a) != d(d(s, a), b - 1):
+                    bad.append(f"d_{a} d_{b} != d_{b-1} d_{a} at {s}")
+    for b in range(l + 1):
+        for a in range(b + 1):
+            if sg(sg(s, b), a) != sg(sg(s, a), b + 1):
+                bad.append(f"s_{a} s_{b} != s_{b+1} s_{a} at {s}")
+    for b in range(l + 1):
+        sb = sg(s, b)
+        for a in range(l + 2):
+            if a < b:
+                want = sg(d(s, a), b - 1)
+            elif a in (b, b + 1):
+                want = s
+            else:
+                want = sg(d(s, a - 1), b)
+            if d(sb, a) != want:
+                bad.append(f"d_{a} s_{b} relation fails at {s}")
+    r = s
+    for _ in range(l + 1):
+        r = t(r)
+    if r != s:
+        bad.append(f"t^{l + 1} != id at {s}")
+    ts = t(s)
+    if l >= 1:
+        if d(ts, 0) != d(s, l):
+            bad.append(f"d_0 t != d_{l} at {s}")
+        for a in range(1, l + 1):
+            if d(ts, a) != t(d(s, a - 1)):
+                bad.append(f"d_{a} t != t d_{a-1} at {s}")
+    for a in range(1, l + 1):
+        if sg(ts, a) != t(sg(s, a - 1)):
+            bad.append(f"s_{a} t != t s_{a-1} at {s}")
+    if sg(ts, 0) != t(t(sg(s, l))):
+        bad.append(f"s_0 t != t^2 s_{l} at {s}")
+    return bad
+
+
+class _WrapNeverCollapses(CyclicBar):
+    # the last face saturates at x^(k-1) instead of hitting the basepoint
+    def face(self, s, idx):
+        f = super().face(s, idx)
+        if f is BASEPOINT and s is not BASEPOINT and idx == len(s) - 1:
+            return (self.k - 1,) + s[1:-1]
+        return f
+
+
+class _WrapMergesWrongPair(CyclicBar):
+    # the last face multiplies the final entry into its left neighbour
+    def face(self, s, idx):
+        if s is not BASEPOINT and idx == len(s) - 1 >= 1:
+            return super().face(s, idx - 1)
+        return super().face(s, idx)
+
+
+class _DegeneracyOneSlotLeft(CyclicBar):
+    # inserts the unit at position idx instead of after it
+    def degeneracy(self, s, idx):
+        g = super().degeneracy(s, idx)
+        return g if g is BASEPOINT else s[:idx] + (0,) + s[idx:]
+
+
+class _RotateLeft(CyclicBar):
+    def cyclic(self, s):
+        return s if s is BASEPOINT else s[1:] + s[:1]
+
+
+class _RotateNoop(CyclicBar):
+    def cyclic(self, s):
+        return s
+
+
+BROKEN_BARS = (
+    _WrapNeverCollapses,
+    _WrapMergesWrongPair,
+    _DegeneracyOneSlotLeft,
+    _RotateLeft,
+    _RotateNoop,
+)
+
+
+def _outcome(check, bar, s):
+    try:
+        return check(bar, s)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_identity_violations_match_reference():
+    caught = dict.fromkeys(BROKEN_BARS, 0)
+    for k in range(2, 6):
+        for cls in (CyclicBar,) + BROKEN_BARS:
+            bar = cls(k)
+            for i in range(9):
+                for _, s in bar.enumerate_weight_component(i).simplices():
+                    want = _outcome(_reference_violations, bar, s)
+                    assert _outcome(identity_violations, bar, s) == want, (cls, s)
+                    if cls is CyclicBar:
+                        assert want == []
+                    else:
+                        caught[cls] += len(want)
+    # each broken bar is caught, so the comparison covers failing relations
+    assert all(caught.values()), caught
+
+
+class _CountingBar(CyclicBar):
+    def __init__(self, k):
+        super().__init__(k)
+        self.calls = {"face": 0, "degeneracy": 0, "cyclic": 0}
+
+    def face(self, s, idx):
+        self.calls["face"] += 1
+        return super().face(s, idx)
+
+    def degeneracy(self, s, idx):
+        self.calls["degeneracy"] += 1
+        return super().degeneracy(s, idx)
+
+    def cyclic(self, s):
+        self.calls["cyclic"] += 1
+        return super().cyclic(s)
+
+
+def test_identity_violations_compute_each_image_once():
+    def calls(check):
+        bar = _CountingBar(3)
+        for i in range(11):
+            for _, s in bar.enumerate_weight_component(i).simplices():
+                check(bar, s)
+        return bar.calls
+
+    new, old = calls(identity_violations), calls(_reference_violations)
+    assert old == {"face": 89346, "degeneracy": 79512, "cyclic": 9823}
+    assert new["face"] < old["face"]
+    assert new["degeneracy"] < old["degeneracy"]
+    assert new["cyclic"] == old["cyclic"]
+
+
+def test_identity_violations_rejects_bad_simplices():
+    bar = CyclicBar(3)
+    with pytest.raises(ValueError, match="basepoint"):
+        identity_violations(bar, BASEPOINT)
+    # the first operator call that fails may differ, so only the type is pinned
+    for s in [(), (7,), (5, 1), (1, -1, 1)]:
+        with pytest.raises(ValueError):
+            identity_violations(bar, s)
