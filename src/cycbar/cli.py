@@ -10,10 +10,14 @@ Commands:
 * ``verdict``: nil-invariance verdicts for one pair (p, k).
 * ``selftest``: the built-in property suite on a fixed small range.
 
-Reports render as text or as a single JSON tree (``--format json``) with
-stable field names and sorted keys, so identical inputs give identical
-bytes.  Exit codes: 0 on success, 1 when a mathematical check fails, 2
-for usage or validation errors, an unwritable ``--out`` included.
+Each handler builds its report once, as a JSON tree, and hands ``_emit``
+the tree and a function that makes the text lines from it; only the
+format asked for is rendered.  ``--format json`` prints the bytes of
+``json.dumps(tree, indent=2, sort_keys=True)`` (stable field names,
+sorted keys, so identical inputs give identical bytes), written by
+``_json_text`` through the C encoder.  Exit codes: 0 on success, 1 when
+a mathematical check fails, 2 for usage or validation errors, an
+unwritable ``--out`` included.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from math import inf
 from pathlib import Path
 
@@ -241,16 +245,20 @@ def cmd_homology(args):
         "config": {"k": args.k, "i_min": args.i_lo, "i_max": args.i_hi},
         "components": entries,
     }
-    lines = []
-    for entry in entries:
-        lines.append(f"weight component k={args.k}, i={entry['i']}")
-        lines.append("  degree  basis  homology")
-        for row in entry["degrees"]:
-            lines.append(
-                f"  {row['degree']:>6} {row['basis_size']:>6}  "
-                f"{row['homology']['name']}"
-            )
-    _emit(tree, lines, args)
+
+    def text():
+        lines = []
+        for entry in entries:
+            lines.append(f"weight component k={args.k}, i={entry['i']}")
+            lines.append("  degree  basis  homology")
+            for row in entry["degrees"]:
+                lines.append(
+                    f"  {row['degree']:>6} {row['basis_size']:>6}  "
+                    f"{row['homology']['name']}"
+                )
+        return lines
+
+    _emit(tree, text, args)
     return 0
 
 
@@ -281,34 +289,44 @@ def cmd_verify(args):
         },
         "ok": ok,
     }
-    lines = [f"verify k={args.k} for weights 1..{args.max_i}"]
-    lines.append("  sphere-smash closed form:")
-    for e in entries:
-        if e["match"]:
-            degs = ", ".join(str(r["degree"]) for r in e["degrees"])
-            lines.append(f"    i={e['i']:>2}: match  (Z at degrees {degs})")
-        else:
-            lines.append(f"    i={e['i']:>2}: MISMATCH")
-            for r in e["degrees"]:
-                lines.append(
-                    f"      degree {r['degree']}: computed "
-                    f"{r['computed']['name']}, expected {r['expected']['name']}"
-                )
-    bad_euler = [e for e in euler if not e["ok"]]
-    lines.append(
-        f"  alternating counts: {len(euler)} weights, "
-        + ("all zero" if not bad_euler else f"{len(bad_euler)} NONZERO")
-    )
-    lines.append(
-        f"  operator identities: {checked} simplices, {len(violations)} violations"
-    )
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    _emit(tree, lines, args)
+
+    def text():
+        lines = [f"verify k={args.k} for weights 1..{args.max_i}"]
+        lines.append("  sphere-smash closed form:")
+        for e in entries:
+            if e["match"]:
+                degs = ", ".join(str(r["degree"]) for r in e["degrees"])
+                lines.append(f"    i={e['i']:>2}: match  (Z at degrees {degs})")
+            else:
+                lines.append(f"    i={e['i']:>2}: MISMATCH")
+                for r in e["degrees"]:
+                    lines.append(
+                        f"      degree {r['degree']}: computed "
+                        f"{r['computed']['name']}, expected {r['expected']['name']}"
+                    )
+        bad_euler = [e for e in euler if not e["ok"]]
+        lines.append(
+            f"  alternating counts: {len(euler)} weights, "
+            + ("all zero" if not bad_euler else f"{len(bad_euler)} NONZERO")
+        )
+        lines.append(
+            f"  operator identities: {checked} simplices, {len(violations)} violations"
+        )
+        lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+        return lines
+
+    _emit(tree, text, args)
     return 0 if ok else 1
 
 
 def cmd_tp(args):
     report = relative_tp(args.p, args.k, args.j, args.truncate)
+    # order and name depend on the exponent alone, and there are at most
+    # log_p(truncate) + 1 distinct exponents
+    named = {}
+    for f in report.factors:
+        if f.exponent not in named:
+            named[f.exponent] = f.order, str(f.group)
     tree = {
         "tool": "cycbar",
         "command": "tp",
@@ -325,32 +343,36 @@ def cmd_tp(args):
                 "i": f.weight,
                 "k_divides_i": f.multiple_of_k,
                 "exponent": f.exponent,
-                "order": f.order,
-                "group": str(f.group),
+                "order": named[f.exponent][0],
+                "group": named[f.exponent][1],
             }
             for f in report.factors
         ],
         "verdicts": _verdict_node(report.verdicts),
     }
-    lines = [
-        f"relative periodic theory for p={args.p}, k={args.k}, degree j={args.j}"
-    ]
-    if report.factors:
-        lines.append("  weight  k|i  factor")
-        for f in tree["factors"]:
+
+    def text():
+        lines = [
+            f"relative periodic theory for p={args.p}, k={args.k}, degree j={args.j}"
+        ]
+        if report.factors:
+            lines.append("  weight  k|i  factor")
+            for f in tree["factors"]:
+                lines.append(
+                    f"  {f['i']:>6}  {'yes' if f['k_divides_i'] else ' no'}  "
+                    f"{f['group']} (exponent {f['exponent']})"
+                )
             lines.append(
-                f"  {f['i']:>6}  {'yes' if f['k_divides_i'] else ' no'}  "
-                f"{f['group']} (exponent {f['exponent']})"
+                f"  truncated at weight {args.truncate}; higher weights follow the "
+                "same two-case exponent rule"
             )
-        lines.append(
-            f"  truncated at weight {args.truncate}; higher weights follow the "
-            "same two-case exponent rule"
-        )
-    else:
-        lines.append("  the group vanishes in even degrees (no factors)")
-    lines.append("verdicts:")
-    lines.extend(_verdict_lines(tree["verdicts"], indent="  "))
-    _emit(tree, lines, args)
+        else:
+            lines.append("  the group vanishes in even degrees (no factors)")
+        lines.append("verdicts:")
+        lines.extend(_verdict_lines(tree["verdicts"], indent="  "))
+        return lines
+
+    _emit(tree, text, args)
     return 0
 
 
@@ -362,9 +384,13 @@ def cmd_verdict(args):
         "config": {"p": args.p, "k": args.k},
         "verdicts": node,
     }
-    lines = [f"nil-invariance verdicts for p={args.p}, k={args.k}"]
-    lines.extend(_verdict_lines(node, indent="  "))
-    _emit(tree, lines, args)
+
+    def text():
+        lines = [f"nil-invariance verdicts for p={args.p}, k={args.k}"]
+        lines.extend(_verdict_lines(node, indent="  "))
+        return lines
+
+    _emit(tree, text, args)
     return 0
 
 
@@ -429,20 +455,71 @@ def cmd_selftest(args):
         "checks": results,
         "ok": ok,
     }
-    lines = [
-        f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']} ({r['detail']})"
-        for r in results
-    ]
-    lines.append(f"selftest: {'all checks passed' if ok else 'CHECKS FAILED'}")
-    _emit(tree, lines, args)
+
+    def text():
+        lines = [
+            f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']} ({r['detail']})"
+            for r in results
+        ]
+        lines.append(f"selftest: {'all checks passed' if ok else 'CHECKS FAILED'}")
+        return lines
+
+    _emit(tree, text, args)
     return 0 if ok else 1
 
 
-def _emit(tree, lines, args):
-    if args.fmt == "json":
-        payload = json.dumps(tree, indent=2, sort_keys=True) + "\n"
+# exact types: a subclass, or anything else, takes the recursive route,
+# which is right for every input, only slower
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth):
+    """Encoder for a container of scalars whose items sit at ``depth + 1``.
+
+    The newline and the items' indent live in the item separator, and
+    ``indent`` stays None, so the stdlib picks its C encoder.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    return json.JSONEncoder(sort_keys=True, separators=("," + pad, ": ")).encode
+
+
+def _json_text(node, depth=0):
+    """``json.dumps(node, indent=2, sort_keys=True)``, byte for byte.
+
+    ``node`` is a tree of dicts with text keys, lists and JSON scalars,
+    rendered as if it sat ``depth`` levels deep.  A container of scalars
+    is one call of a cached C encoder and gets the indented brackets
+    around its items; other containers recurse.  The pure-Python encoder
+    that ``indent`` selects is slower and, for a large tree, holds one
+    small chunk string per token until it joins them.
+    """
+    if isinstance(node, dict):
+        values, brackets = node.values(), "{}"
+    elif isinstance(node, (list, tuple)):
+        values, brackets = node, "[]"
     else:
-        payload = "\n".join(lines) + "\n"
+        return json.dumps(node)
+    if not node:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    if all(type(v) in _SCALARS for v in values):
+        body = _flat_encoder(depth)(node)[1:-1]
+    elif isinstance(node, dict):
+        body = ("," + pad).join(
+            f"{json.dumps(key)}: {_json_text(node[key], depth + 1)}" for key in sorted(node)
+        )
+    else:
+        body = ("," + pad).join(_json_text(v, depth + 1) for v in node)
+    return brackets[0] + pad + body + pad[:-2] + brackets[1]
+
+
+def _emit(tree, text, args):
+    """Render ``tree`` as JSON, or call ``text()`` for the text lines."""
+    if args.fmt == "json":
+        payload = _json_text(tree) + "\n"
+    else:
+        payload = "\n".join(text()) + "\n"
     if args.out:
         try:
             Path(args.out).write_text(payload)

@@ -235,7 +235,8 @@ def _compositions(total, parts, hi):
 def identity_violations(bar, s):
     """Instantiate every simplicial and cyclic operator identity at ``s``.
 
-    ``s`` is a nonbasepoint l-simplex; the basepoint is refused with a
+    ``s`` is a nonbasepoint l-simplex, a nonempty tuple of exponents in
+    ``[0, bar.k - 1]``; the basepoint and anything else are refused with a
     ``ValueError``.  Compositions that pass through the basepoint use the
     absorbing convention built into the operators.  With d, s, t for face,
     degeneracy, cyclic, the relations checked are
@@ -259,6 +260,15 @@ def identity_violations(bar, s):
     """
     if s is BASEPOINT:
         raise ValueError("the identity suite needs a nonbasepoint simplex, got BASEPOINT")
+    if not (
+        isinstance(s, tuple)
+        and s
+        and all(isinstance(a, int) and 0 <= a < bar.k for a in s)
+    ):
+        raise ValueError(
+            f"the identity suite needs a nonempty tuple of exponents in "
+            f"[0, {bar.k - 1}], got s={s!r}"
+        )
     bad = []
     l = len(s) - 1
     d, sg, t = bar.face, bar.degeneracy, bar.cyclic

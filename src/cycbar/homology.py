@@ -304,17 +304,28 @@ class ChainComplex:
         return dense
 
     def boundary_composes_to_zero(self):
-        """Exact check that consecutive differentials compose to zero."""
+        """Exact check that consecutive differentials compose to zero.
+
+        Row r of ``d_{l-1} d_l`` is the sum, over the entries ``(r, mid, w)``
+        of ``d_{l-1}``, of ``w`` times row ``mid`` of ``d_l``.  The product
+        is summed one row at a time, so only that row is held, and the
+        first nonzero row ends the check.  The triplets may come in any
+        order.
+        """
         for l in range(2, self.top_degree + 1):
-            by_col = {}
-            for r, c, v in self.boundaries[l - 1]:
-                by_col.setdefault(c, []).append((r, v))
-            acc = {}
+            lower = {}
+            for r, mid, w in self.boundaries[l - 1]:
+                lower.setdefault(r, []).append((mid, w))
+            upper = {}
             for mid, c, v in self.boundaries[l]:
-                for r, w in by_col.get(mid, ()):
-                    acc[r, c] = acc.get((r, c), 0) + w * v
-            if any(acc.values()):
-                return False
+                upper.setdefault(mid, {})[c] = v
+            for entries in lower.values():
+                acc = {}
+                for mid, w in entries:
+                    for c, v in upper.get(mid, {}).items():
+                        acc[c] = acc.get(c, 0) + w * v
+                if any(acc.values()):
+                    return False
         return True
 
     def __repr__(self):

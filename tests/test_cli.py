@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycbar.cli
 import cycbar.homology
@@ -207,6 +208,46 @@ def test_tp_json_factors(capsys):
     assert [f["k_divides_i"] for f in tree["factors"][:6]] == [
         False, False, True, False, False, True,
     ]
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.sampled_from(["", '"\\/\b\f\n\r\t', "\u2028\x00\x7f", "Z/2 é 𝔽_p ✓"]),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_TREES)
+def test_json_text_is_json_dumps(tree):
+    assert cycbar.cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_tp_json_bytes_are_json_dumps(capsys):
+    code, out, _ = run(capsys, "tp", "--p", "2", "--k", "6", "--j", "1",
+                       "--truncate", "5000", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_format_builds_no_text(capsys, monkeypatch):
+    def text_lines(*args, **kwargs):
+        raise AssertionError("text lines built for --format json")
+
+    monkeypatch.setattr(cycbar.cli, "_verdict_lines", text_lines)
+    code, out, _ = run(capsys, "tp", "--p", "2", "--k", "3", "--j", "1",
+                       "--truncate", "10", "--format", "json")
+    assert code == 0 and json.loads(out)["command"] == "tp"
+    code, out, _ = run(capsys, "verdict", "--p", "3", "--k", "9", "--format", "json")
+    assert code == 0 and json.loads(out)["command"] == "verdict"
 
 
 def test_tp_even_degree(capsys):

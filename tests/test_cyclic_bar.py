@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -371,4 +372,8 @@ def test_identity_violations_rejects_bad_simplices():
     # the first operator call that fails may differ, so only the type is pinned
     for s in [(), (7,), (5, 1), (1, -1, 1)]:
         with pytest.raises(ValueError):
+            identity_violations(bar, s)
+    # each is refused before any operator runs, by a message that names it
+    for s in [(), (7,), (5, 1), (1, -1, 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"in [0, 2], got s={s!r}")):
             identity_violations(bar, s)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import random
 from itertools import combinations
 from math import gcd
@@ -186,6 +187,64 @@ def test_boundary_squares_to_zero_small():
         bar = CyclicBar(k)
         for i in range(0, 9):
             assert chain_complex(bar.enumerate_weight_component(i)).boundary_composes_to_zero()
+
+
+# --- d∘d = 0: the whole product in one dict, the oracle for the row-by-row check
+
+
+def _reference_composes_to_zero(cx):
+    for l in range(2, cx.top_degree + 1):
+        by_col = {}
+        for r, c, v in cx.boundaries[l - 1]:
+            by_col.setdefault(c, []).append((r, v))
+        acc = {}
+        for mid, c, v in cx.boundaries[l]:
+            for r, w in by_col.get(mid, ()):
+                acc[r, c] = acc.get((r, c), 0) + w * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _with_boundaries(cx, boundaries):
+    return dataclasses.replace(cx, boundaries=tuple(tuple(b) for b in boundaries))
+
+
+def test_dd_check_agrees_with_reference():
+    rng = random.Random(20261018)
+    broken = 0
+    for k in range(2, 6):
+        bar = CyclicBar(k)
+        for i in range(0, 11):
+            cx = chain_complex(bar.enumerate_weight_component(i))
+            assert _reference_composes_to_zero(cx) is True, (k, i)
+            assert cx.boundary_composes_to_zero() is True, (k, i)
+            shuffled = _with_boundaries(cx, [rng.sample(b, len(b)) for b in cx.boundaries])
+            assert shuffled.boundary_composes_to_zero() is True, (k, i)
+            for l in range(2, cx.top_degree + 1):
+                # flipping or dropping an entry (mid, c, v) of d_l adds -2v or
+                # -v times column mid of d_{l-1} to column c of the product,
+                # which is then nonzero when that column is
+                hit = {mid for _, mid, _ in cx.boundaries[l - 1]}
+                at = [n for n, (mid, _, _) in enumerate(cx.boundaries[l]) if mid in hit]
+                if not at:
+                    continue
+                n = rng.choice(at)
+                mid, c, v = cx.boundaries[l][n]
+                for entry in ((mid, c, -v), None):
+                    cells = list(cx.boundaries[l])
+                    if entry is None:
+                        del cells[n]
+                    else:
+                        cells[n] = entry
+                    for order in (cells, rng.sample(cells, len(cells))):
+                        bad = list(cx.boundaries)
+                        bad[l] = order
+                        bad = _with_boundaries(cx, bad)
+                        assert _reference_composes_to_zero(bad) is False, (k, i, l)
+                        assert bad.boundary_composes_to_zero() is False, (k, i, l)
+                        broken += 1
+    assert broken > 300
 
 
 def test_boundary_entries_bounded_by_degree():
