@@ -10,14 +10,16 @@ Commands:
 * ``verdict``: nil-invariance verdicts for one pair (p, k).
 * ``selftest``: the built-in property suite on a fixed small range.
 
-Each handler builds its report once, as a JSON tree, and hands ``_emit``
-the tree and a function that makes the text lines from it; only the
-format asked for is rendered.  ``--format json`` prints the bytes of
+Each handler computes its report once, as a JSON tree, and prints
+nothing; a text function bound beside it makes the text lines from the
+finished tree.  ``main`` adds the ``tool`` and ``command`` fields,
+renders only the format asked for, writes it to stdout or ``--out``, and
+picks the exit code.  ``--format json`` prints the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` (stable field names,
 sorted keys, so identical inputs give identical bytes), written by
 ``_json_text`` through the C encoder.  Exit codes: 0 on success, 1 when
-a mathematical check fails, 2 for usage or validation errors, an
-unwritable ``--out`` included.
+the report's ``ok`` is false (a mathematical check failed), 2 for usage
+or validation errors, an unwritable ``--out`` included.
 """
 
 from __future__ import annotations
@@ -86,14 +88,14 @@ def build_parser():
     sp.add_argument("--i", required=True, help="weight or inclusive range A..B")
     common(sp)
     jobs(sp)
-    sp.set_defaults(handler=cmd_homology)
+    sp.set_defaults(handler=cmd_homology, lines=_homology_lines)
 
     sp = sub.add_parser("verify", help="check homology against the closed form")
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--max-i", type=int, required=True, help="largest weight checked")
     common(sp)
     jobs(sp)
-    sp.set_defaults(handler=cmd_verify)
+    sp.set_defaults(handler=cmd_verify, lines=_verify_lines)
 
     sp = sub.add_parser("tp", help="factor table of the relative periodic theory")
     sp.add_argument("--p", type=int, required=True, help="prime")
@@ -101,17 +103,17 @@ def build_parser():
     sp.add_argument("--j", type=int, required=True, help="degree")
     sp.add_argument("--truncate", type=int, required=True, help="largest weight listed")
     common(sp)
-    sp.set_defaults(handler=cmd_tp)
+    sp.set_defaults(handler=cmd_tp, lines=_tp_lines)
 
     sp = sub.add_parser("verdict", help="nil-invariance verdicts")
     sp.add_argument("--p", type=int, required=True, help="prime")
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     common(sp)
-    sp.set_defaults(handler=cmd_verdict)
+    sp.set_defaults(handler=cmd_verdict, lines=_verdict_report_lines)
 
     sp = sub.add_parser("selftest", help="run the built-in property suite")
     common(sp)
-    sp.set_defaults(handler=cmd_selftest)
+    sp.set_defaults(handler=cmd_selftest, lines=_selftest_lines)
 
     return parser
 
@@ -224,42 +226,37 @@ def _verdict_node(v):
     }
 
 
-def _verdict_lines(node, indent=""):
+def _verdict_lines(node):
     yes_no = {True: "yes", False: "no"}
     return [
-        f"{indent}integral isomorphism:  {yes_no[node['integral_iso']]} "
+        f"  integral isomorphism:  {yes_no[node['integral_iso']]} "
         f"(weight {node['witness_weight']} contributes "
         f"Z/{node['p']}^{node['witness_exponent']})",
-        f"{indent}after inverting p:     {yes_no[node['p_inverted_iso']]}",
-        f"{indent}exponent supremum:     {node['exponent_sup']}",
-        f"{indent}remark: {node['remark']}",
+        f"  after inverting p:     {yes_no[node['p_inverted_iso']]}",
+        f"  exponent supremum:     {node['exponent_sup']}",
+        f"  remark: {node['remark']}",
     ]
 
 
 def cmd_homology(args):
     weights = range(args.i_lo, args.i_hi + 1)
-    entries = _run_jobs(partial(_homology_entry, args.k), weights, args.jobs)
-    tree = {
-        "tool": "cycbar",
-        "command": "homology",
+    return {
         "config": {"k": args.k, "i_min": args.i_lo, "i_max": args.i_hi},
-        "components": entries,
+        "components": _run_jobs(partial(_homology_entry, args.k), weights, args.jobs),
     }
 
-    def text():
-        lines = []
-        for entry in entries:
-            lines.append(f"weight component k={args.k}, i={entry['i']}")
-            lines.append("  degree  basis  homology")
-            for row in entry["degrees"]:
-                lines.append(
-                    f"  {row['degree']:>6} {row['basis_size']:>6}  "
-                    f"{row['homology']['name']}"
-                )
-        return lines
 
-    _emit(tree, text, args)
-    return 0
+def _homology_lines(tree):
+    lines = []
+    for entry in tree["components"]:
+        lines.append(f"weight component k={tree['config']['k']}, i={entry['i']}")
+        lines.append("  degree  basis  homology")
+        for row in entry["degrees"]:
+            lines.append(
+                f"  {row['degree']:>6} {row['basis_size']:>6}  "
+                f"{row['homology']['name']}"
+            )
+    return lines
 
 
 def cmd_verify(args):
@@ -272,14 +269,7 @@ def cmd_verify(args):
             euler.append({"i": i, "alternating_count": count, "ok": count == 0})
         checked += simplices
         violations.extend(bad)
-    ok = (
-        all(e["match"] for e in entries)
-        and all(e["ok"] for e in euler)
-        and not violations
-    )
-    tree = {
-        "tool": "cycbar",
-        "command": "verify",
+    return {
         "config": {"k": args.k, "max_i": args.max_i},
         "weight_pieces": entries,
         "euler": euler,
@@ -287,36 +277,40 @@ def cmd_verify(args):
             "simplices_checked": checked,
             "violations": violations,
         },
-        "ok": ok,
+        "ok": (
+            all(e["match"] for e in entries)
+            and all(e["ok"] for e in euler)
+            and not violations
+        ),
     }
 
-    def text():
-        lines = [f"verify k={args.k} for weights 1..{args.max_i}"]
-        lines.append("  sphere-smash closed form:")
-        for e in entries:
-            if e["match"]:
-                degs = ", ".join(str(r["degree"]) for r in e["degrees"])
-                lines.append(f"    i={e['i']:>2}: match  (Z at degrees {degs})")
-            else:
-                lines.append(f"    i={e['i']:>2}: MISMATCH")
-                for r in e["degrees"]:
-                    lines.append(
-                        f"      degree {r['degree']}: computed "
-                        f"{r['computed']['name']}, expected {r['expected']['name']}"
-                    )
-        bad_euler = [e for e in euler if not e["ok"]]
-        lines.append(
-            f"  alternating counts: {len(euler)} weights, "
-            + ("all zero" if not bad_euler else f"{len(bad_euler)} NONZERO")
-        )
-        lines.append(
-            f"  operator identities: {checked} simplices, {len(violations)} violations"
-        )
-        lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-        return lines
 
-    _emit(tree, text, args)
-    return 0 if ok else 1
+def _verify_lines(tree):
+    config, euler, identities = tree["config"], tree["euler"], tree["identities"]
+    lines = [f"verify k={config['k']} for weights 1..{config['max_i']}"]
+    lines.append("  sphere-smash closed form:")
+    for e in tree["weight_pieces"]:
+        if e["match"]:
+            degs = ", ".join(str(r["degree"]) for r in e["degrees"])
+            lines.append(f"    i={e['i']:>2}: match  (Z at degrees {degs})")
+        else:
+            lines.append(f"    i={e['i']:>2}: MISMATCH")
+            for r in e["degrees"]:
+                lines.append(
+                    f"      degree {r['degree']}: computed "
+                    f"{r['computed']['name']}, expected {r['expected']['name']}"
+                )
+    bad_euler = [e for e in euler if not e["ok"]]
+    lines.append(
+        f"  alternating counts: {len(euler)} weights, "
+        + ("all zero" if not bad_euler else f"{len(bad_euler)} NONZERO")
+    )
+    lines.append(
+        f"  operator identities: {identities['simplices_checked']} simplices, "
+        f"{len(identities['violations'])} violations"
+    )
+    lines.append(f"overall: {'PASS' if tree['ok'] else 'FAIL'}")
+    return lines
 
 
 def cmd_tp(args):
@@ -327,9 +321,7 @@ def cmd_tp(args):
     for f in report.factors:
         if f.exponent not in named:
             named[f.exponent] = f.order, str(f.group)
-    tree = {
-        "tool": "cycbar",
-        "command": "tp",
+    return {
         "config": {
             "p": args.p,
             "k": args.k,
@@ -351,47 +343,44 @@ def cmd_tp(args):
         "verdicts": _verdict_node(report.verdicts),
     }
 
-    def text():
-        lines = [
-            f"relative periodic theory for p={args.p}, k={args.k}, degree j={args.j}"
-        ]
-        if report.factors:
-            lines.append("  weight  k|i  factor")
-            for f in tree["factors"]:
-                lines.append(
-                    f"  {f['i']:>6}  {'yes' if f['k_divides_i'] else ' no'}  "
-                    f"{f['group']} (exponent {f['exponent']})"
-                )
-            lines.append(
-                f"  truncated at weight {args.truncate}; higher weights follow the "
-                "same two-case exponent rule"
-            )
-        else:
-            lines.append("  the group vanishes in even degrees (no factors)")
-        lines.append("verdicts:")
-        lines.extend(_verdict_lines(tree["verdicts"], indent="  "))
-        return lines
 
-    _emit(tree, text, args)
-    return 0
+def _tp_lines(tree):
+    config = tree["config"]
+    lines = [
+        f"relative periodic theory for p={config['p']}, k={config['k']}, "
+        f"degree j={config['j']}"
+    ]
+    if tree["factors"]:
+        lines.append("  weight  k|i  factor")
+        for f in tree["factors"]:
+            lines.append(
+                f"  {f['i']:>6}  {'yes' if f['k_divides_i'] else ' no'}  "
+                f"{f['group']} (exponent {f['exponent']})"
+            )
+        lines.append(
+            f"  truncated at weight {config['truncate']}; higher weights follow the "
+            "same two-case exponent rule"
+        )
+    else:
+        lines.append("  the group vanishes in even degrees (no factors)")
+    lines.append("verdicts:")
+    lines.extend(_verdict_lines(tree["verdicts"]))
+    return lines
 
 
 def cmd_verdict(args):
-    node = _verdict_node(nil_invariance_report(args.p, args.k))
-    tree = {
-        "tool": "cycbar",
-        "command": "verdict",
+    return {
         "config": {"p": args.p, "k": args.k},
-        "verdicts": node,
+        "verdicts": _verdict_node(nil_invariance_report(args.p, args.k)),
     }
 
-    def text():
-        lines = [f"nil-invariance verdicts for p={args.p}, k={args.k}"]
-        lines.extend(_verdict_lines(node, indent="  "))
-        return lines
 
-    _emit(tree, text, args)
-    return 0
+def _verdict_report_lines(tree):
+    config = tree["config"]
+    return [
+        f"nil-invariance verdicts for p={config['p']}, k={config['k']}",
+        *_verdict_lines(tree["verdicts"]),
+    ]
 
 
 SELFTEST_K = (2, 3, 4)
@@ -443,29 +432,23 @@ def cmd_selftest(args):
         euler: f"{weights} weights checked",
         sphere: f"{pieces} weight pieces matched",
     }
-    results = [
-        {"name": name, "ok": name not in failed, "detail": failed.get(name, detail)}
-        for name, detail in passed.items()
-    ]
-    ok = not failed
-    tree = {
-        "tool": "cycbar",
-        "command": "selftest",
+    return {
         "config": {"k_values": list(SELFTEST_K), "max_i": SELFTEST_MAX_WEIGHT},
-        "checks": results,
-        "ok": ok,
+        "checks": [
+            {"name": name, "ok": name not in failed, "detail": failed.get(name, detail)}
+            for name, detail in passed.items()
+        ],
+        "ok": not failed,
     }
 
-    def text():
-        lines = [
-            f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']} ({r['detail']})"
-            for r in results
-        ]
-        lines.append(f"selftest: {'all checks passed' if ok else 'CHECKS FAILED'}")
-        return lines
 
-    _emit(tree, text, args)
-    return 0 if ok else 1
+def _selftest_lines(tree):
+    lines = [
+        f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']} ({r['detail']})"
+        for r in tree["checks"]
+    ]
+    lines.append(f"selftest: {'all checks passed' if tree['ok'] else 'CHECKS FAILED'}")
+    return lines
 
 
 # exact types: a subclass, or anything else, takes the recursive route,
@@ -514,30 +497,27 @@ def _json_text(node, depth=0):
     return brackets[0] + pad + body + pad[:-2] + brackets[1]
 
 
-def _emit(tree, text, args):
-    """Render ``tree`` as JSON, or call ``text()`` for the text lines."""
-    if args.fmt == "json":
-        payload = _json_text(tree) + "\n"
-    else:
-        payload = "\n".join(text()) + "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(payload)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out: {exc}") from None
-    else:
-        sys.stdout.write(payload)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        return args.handler(args)
+        report = args.handler(args)
+        if args.fmt == "json":
+            payload = _json_text({"tool": "cycbar", "command": args.command, **report}) + "\n"
+        else:
+            payload = "\n".join(args.lines(report)) + "\n"
+        if args.out:
+            try:
+                Path(args.out).write_text(payload)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out: {exc}") from None
+        else:
+            sys.stdout.write(payload)
     except ValueError as exc:
         # UsageError and validation errors from the library both land here
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if report.get("ok", True) else 1
 
 
 if __name__ == "__main__":

@@ -69,8 +69,9 @@ class WeightComponent:
     """The simplices of one weight summand, listed per degree.
 
     ``simplices_by_degree[l]`` holds the nondegenerate l-simplices of total
-    weight ``i`` in lexicographic order; trailing empty degrees are
-    trimmed, so the last populated degree of weight i >= 1 is exactly i.
+    weight ``i`` in lexicographic order, for l = 0, ..., i.  Degree i is
+    the last and is never empty: it holds (0, 1, ..., 1) for i >= 1, and
+    (0,) for i = 0.
     """
 
     k: int
@@ -162,16 +163,17 @@ class CyclicBar:
         """
         if not isinstance(i, int) or i < 0:
             raise ValueError(f"weight must be a nonnegative integer, got {i!r}")
-        return WeightComponent(
-            self.k, i, _trim(self._weight_tuples(i, l) for l in range(i + 1))
-        )
-
-    def _weight_tuples(self, i, l):
-        # leading entry may be the unit, the rest may not
         hi = self.k - 1
-        for first in range(0, min(hi, i) + 1):
-            for tail in _compositions(i - first, l, hi):
-                yield (first,) + tail
+        # leading entry may be the unit, the rest may not
+        blocks = tuple(
+            tuple(
+                (first,) + tail
+                for first in range(min(hi, i) + 1)
+                for tail in _compositions(i - first, l, hi)
+            )
+            for l in range(i + 1)
+        )
+        return WeightComponent(self.k, i, blocks)
 
     def generated_cyclic_subset(self, i):
         """Nondegenerate simplices reachable from the weight-i generator.
@@ -207,15 +209,7 @@ class CyclicBar:
         for s in seen:
             if not is_degenerate(s):
                 blocks[len(s) - 1].append(s)
-        return WeightComponent(self.k, i, _trim(sorted(b) for b in blocks))
-
-
-def _trim(blocks):
-    """Tuple-ify per-degree lists and drop trailing empty degrees."""
-    out = [tuple(b) for b in blocks]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+        return WeightComponent(self.k, i, tuple(tuple(sorted(b)) for b in blocks))
 
 
 def _compositions(total, parts, hi):

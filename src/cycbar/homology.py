@@ -212,7 +212,8 @@ def _eliminate_unit_pivots(triplets):
     operations clear the pivot column; the pivot row is then cleared by
     column operations that touch nothing else, so both are dropped.
     """
-    # imported on first use, so that importing cycbar stays as cheap as it was
+    # imported on first use: only reduction needs it, and a module-level
+    # import would add its cost to every fresh interpreter that imports cycbar
     import heapq
 
     rows, cols = {}, {}
@@ -427,14 +428,12 @@ def expected_reduced_homology(i, k):
     homology of S^(2d) smashed with a disjointly based circle: a single Z
     in degrees 2d and 2d+1, d = floor((i-1)/k).
     """
-    _require_weight(i)
-    _require_order(k)
+    d2 = 2 * lambda_dim(i, k)
     if i % k == 0:
         raise ValueError(
             f"weight {i} is a multiple of {k}: the sphere-smash form only "
             "covers the coprime-to-truncation weights"
         )
-    d2 = 2 * lambda_dim(i, k)
     return {d2: AbelianGroup.free(1), d2 + 1: AbelianGroup.free(1)}
 
 

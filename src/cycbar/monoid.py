@@ -20,7 +20,8 @@ class _Basepoint:
         return "BASEPOINT"
 
     def __reduce__(self):
-        # keep identity across pickling, e.g. when worker processes are used
+        # keep identity across pickling, for library users who pickle
+        # simplices; the CLI's --jobs workers send plain data, never BASEPOINT
         return (_restore_basepoint, ())
 
 

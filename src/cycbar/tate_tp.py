@@ -119,10 +119,7 @@ def tate_cpn_homotopy(p, n, j):
 
 def weight_piece_exponent(p, k, i):
     """Exponent e of the odd-degree factor Z/p^e contributed by weight i."""
-    _require_prime(p)
-    _require_order(k)
-    _require_weight(i)
-    return _factor(p, k, i, 1).exponent
+    return weight_piece_tp(p, k, i, 1).exponent
 
 
 @dataclass(frozen=True)
@@ -159,9 +156,9 @@ def _factor(p, k, i, j):
 def weight_piece_tp(p, k, i, j):
     """The degree-j contribution of weight i to the relative periodic theory.
 
-    Odd j carries Z/p^e with e from ``weight_piece_exponent`` (possibly
-    e = 0, retained as an explicitly trivial factor); even j carries
-    nothing.
+    Odd j carries Z/p^e with e = v_p(i), or v_p(k) when k divides i
+    (possibly e = 0, retained as an explicitly trivial factor); even j
+    carries nothing.
     """
     _require_prime(p)
     _require_order(k)

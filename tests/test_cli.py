@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ import cycbar.homology
 from cycbar.cli import UsageError, _parse_weight_range, _worker_count, main
 from cycbar.cyclic_bar import CyclicBar, WeightComponent
 from cycbar.homology import ChainComplex
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -353,6 +356,47 @@ def test_selftest_failure_details(capsys, monkeypatch):
             f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']} ({c['detail']})"
             for c in tree["checks"]
         ] == want
+
+
+# passing line of verify --k 3 --max-i 7 -> its lines with the check broken
+VERIFY_FAIL = {
+    "sphere": ("    i= 5: match  (Z at degrees 2, 3)", [
+        "    i= 5: MISMATCH",
+        "      degree 2: computed 0, expected Z",
+        "      degree 3: computed 0, expected Z",
+    ]),
+    "euler": ("  alternating counts: 7 weights, all zero",
+              ["  alternating counts: 7 weights, 1 NONZERO"]),
+    "identities": ("  operator identities: 107 simplices, 0 violations",
+                   ["  operator identities: 107 simplices, 837 violations"]),
+}
+
+
+def test_verify_failure_report(capsys, monkeypatch):
+    # each check alone, then all three at once, against the passing report
+    passing = (GOLDEN / "verify_k3_max7.txt").read_text().splitlines()
+    assert passing[-1] == "overall: PASS"
+    for broken in [[c] for c in VERIFY_FAIL] + [list(VERIFY_FAIL)]:
+        with monkeypatch.context() as m:
+            for check in broken:
+                _break_selftest(m, check)
+            argv = ("verify", "--k", "3", "--max-i", "7")
+            code, out, _ = run(capsys, *argv)
+            json_code, json_out, _ = run(capsys, *argv, "--format", "json")
+        want = []
+        for line in passing[:-1]:
+            fixed = [new for c, (old, new) in VERIFY_FAIL.items() if c in broken and line == old]
+            want.extend(fixed[0] if fixed else [line])
+        assert code == json_code == 1
+        assert out.splitlines() == want + ["overall: FAIL"]
+        tree = json.loads(json_out)
+        assert tree["ok"] is False
+        piece = {w["i"]: w for w in tree["weight_pieces"]}[5]
+        sphere = "sphere" in broken
+        assert (piece["match"], piece["mismatched_degrees"]) == (not sphere, [2, 3] if sphere else [])
+        assert len(tree["identities"]["violations"]) == (837 if "identities" in broken else 0)
+        euler = "euler" in broken
+        assert tree["euler"][-1] == {"i": 7, "alternating_count": 5 if euler else 0, "ok": not euler}
 
 
 def test_usage_errors_exit_2(capsys):

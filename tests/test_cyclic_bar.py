@@ -99,9 +99,9 @@ def test_top_degree_is_weight():
     for k in (2, 3, 5):
         bar = CyclicBar(k)
         for i in range(1, 9):
-            wc = bar.enumerate_weight_component(i)
-            assert wc.top_degree == i
-            assert wc.simplices_by_degree[i] == ((0,) + (1,) * i,)
+            for wc in (bar.enumerate_weight_component(i), bar.generated_cyclic_subset(i)):
+                assert wc.top_degree == i
+                assert wc.simplices_by_degree[i] == ((0,) + (1,) * i,)
 
 
 def test_enumerate_against_brute_force():
