@@ -17,7 +17,9 @@ renders only the format asked for, writes it to stdout or ``--out``, and
 picks the exit code.  ``--format json`` prints the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` (stable field names,
 sorted keys, so identical inputs give identical bytes), written by
-``_json_text`` through the C encoder.  Exit codes: 0 on success, 1 when
+``_json_text`` through the C encoder: one call per container of scalars,
+and one per block of records for a record table such as ``tp``'s
+``factors`` or ``verify``'s ``euler``.  Exit codes: 0 on success, 1 when
 the report's ``ok`` is false (a mathematical check failed), 2 for usage
 or validation errors, an unwritable ``--out`` included.
 """
@@ -467,15 +469,44 @@ def _flat_encoder(depth):
     return json.JSONEncoder(sort_keys=True, separators=("," + pad, ": ")).encode
 
 
+# records per encoder call: one call for a whole 100k-record table is no
+# faster, and its output string raises the peak memory
+_RECORD_BLOCK = 1024
+
+
+def _record_items(records, depth):
+    """The items of a record table at ``depth``, one encoder call per block.
+
+    A record table is a list of nonempty dicts of scalars.  The block's
+    encoder puts each record's keys at ``depth + 2``, so only the
+    boundaries between records need the outer indent.  The C encoder
+    escapes every newline inside a string, so a raw newline comes from a
+    separator.  Inside a record, the character before a separator ends a
+    scalar and the one after it opens a key, so ``},`` + inner + ``{`` is
+    exactly a boundary between two records.
+    """
+    outer = "\n" + "  " * (depth + 1)
+    inner = outer + "  "
+    encode = _flat_encoder(depth + 1)
+    boundary, fixed = "}," + inner + "{", outer + "}," + outer + "{" + inner
+    return ("," + outer).join(
+        "{" + inner
+        + encode(records[start:start + _RECORD_BLOCK])[2:-2].replace(boundary, fixed)
+        + outer + "}"
+        for start in range(0, len(records), _RECORD_BLOCK)
+    )
+
+
 def _json_text(node, depth=0):
     """``json.dumps(node, indent=2, sort_keys=True)``, byte for byte.
 
     ``node`` is a tree of dicts with text keys, lists and JSON scalars,
     rendered as if it sat ``depth`` levels deep.  A container of scalars
     is one call of a cached C encoder and gets the indented brackets
-    around its items; other containers recurse.  The pure-Python encoder
-    that ``indent`` selects is slower and, for a large tree, holds one
-    small chunk string per token until it joins them.
+    around its items.  A record table is one call per block of records
+    (``_record_items``).  Other containers recurse.  The pure-Python
+    encoder that ``indent`` selects is slower and, for a large tree,
+    holds one small chunk string per token until it joins them.
     """
     if isinstance(node, dict):
         values, brackets = node.values(), "{}"
@@ -488,6 +519,10 @@ def _json_text(node, depth=0):
     pad = "\n" + "  " * (depth + 1)
     if all(type(v) in _SCALARS for v in values):
         body = _flat_encoder(depth)(node)[1:-1]
+    elif type(node) is list and all(
+        type(r) is dict and r and _SCALARS.issuperset(map(type, r.values())) for r in node
+    ):
+        body = _record_items(node, depth)
     elif isinstance(node, dict):
         body = ("," + pad).join(
             f"{json.dumps(key)}: {_json_text(node[key], depth + 1)}" for key in sorted(node)

@@ -86,6 +86,11 @@ def _require_prime(p):
         raise ValueError(f"expected a prime, got composite {p}")
 
 
+def _require_degree(j):
+    if not isinstance(j, int):
+        raise ValueError(f"degree must be an integer, got {j!r}")
+
+
 def p_adic_valuation(p, i):
     """Largest e with p^e dividing i; i must be a nonzero positive integer."""
     _require_prime(p)
@@ -112,6 +117,7 @@ def tate_cpn_homotopy(p, n, j):
     _require_prime(p)
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _require_degree(j)
     if j % 2 == 0:
         return AbelianGroup.cyclic(p**n)
     return ZERO_GROUP
@@ -163,6 +169,7 @@ def weight_piece_tp(p, k, i, j):
     _require_prime(p)
     _require_order(k)
     _require_weight(i)
+    _require_degree(j)
     return _factor(p, k, i, j)
 
 
@@ -214,8 +221,7 @@ def relative_tp(p, k, j, truncation):
     """Tabulate the degree-j relative periodic theory through weight `truncation`."""
     _require_prime(p)
     _require_order(k)
-    if not isinstance(j, int):
-        raise ValueError(f"degree must be an integer, got {j!r}")
+    _require_degree(j)
     if not isinstance(truncation, int) or truncation < 1:
         raise ValueError(f"truncation must be a positive integer, got {truncation!r}")
     if j % 2 == 1:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -223,7 +224,11 @@ _JSON_LEAVES = st.one_of(
 )
 _JSON_TREES = st.recursive(
     _JSON_LEAVES,
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.dictionaries(st.text(), kids, max_size=4)
+        | st.lists(st.dictionaries(st.text(), _JSON_LEAVES, min_size=1), min_size=2)
+    ),
     max_leaves=40,
 )
 
@@ -232,6 +237,75 @@ _JSON_TREES = st.recursive(
 @given(_JSON_TREES)
 def test_json_text_is_json_dumps(tree):
     assert cycbar.cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def _records(n, strings=("Z/2",)):
+    return [
+        {"i": i, "s": strings[i % len(strings)], "ok": i % 3 == 0, "x": None, "r": i / 7}
+        for i in range(n)
+    ]
+
+
+def _assert_json_text(records):
+    # at depth 0, and one level down beside another key
+    for tree in (records, {"factors": records, "k": 3}):
+        assert cycbar.cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_json_text_record_tables(n):
+    _assert_json_text(_records(n))
+
+
+def test_json_text_record_strings():
+    # a string that looks like the boundary between two records, brackets,
+    # escapes and non-ASCII text, as values and as keys
+    strings = [
+        "},\n    {", "}", "{", "},", "}, {", '"\\/\b\f\n\r\t', "\u2028\x00\x7f", "Z/2 é 𝔽_p ✓",
+    ]
+    records = _records(2100, strings)
+    for r in records:
+        r[r["s"]] = r["s"]
+    _assert_json_text(records)
+    _assert_json_text([{"}": "}"}, {"{": "{"}, {"z": "},\n    {"}])
+
+
+class _Record(dict):
+    pass
+
+
+def test_json_text_records_fall_back():
+    records = _records(2000)
+    shapes = [
+        records[:500] + [{}] + records[500:],
+        records[:-1] + [{**records[-1], "l": [1, {"a": 2}]}],
+        [_Record(r) for r in records],
+        records[:1000] + [_Record(records[1000])] + records[1001:],
+        tuple(records),
+    ]
+    for tree in shapes:
+        _assert_json_text(tree)
+
+
+def test_json_text_encodes_records_in_blocks(monkeypatch):
+    # records per encoder call; blocks bound the size of each encoded string
+    sizes = []
+    flat_encoder = cycbar.cli._flat_encoder
+
+    def counted(depth):
+        encode = flat_encoder(depth)
+
+        def counting(node):
+            sizes.append(len(node))
+            return encode(node)
+
+        return counting
+
+    monkeypatch.setattr(cycbar.cli, "_flat_encoder", counted)
+    records = _records(5000)
+    assert cycbar.cli._json_text(records) == json.dumps(records, indent=2, sort_keys=True)
+    assert len(sizes) <= math.ceil(5000 / 1024)
+    assert sum(sizes) == 5000 and max(sizes) <= 1024
 
 
 def test_tp_json_bytes_are_json_dumps(capsys):

@@ -183,6 +183,17 @@ def test_relative_tp_rejects_bad_input():
         relative_tp(2, 3, 1, 0)
 
 
+@pytest.mark.parametrize("j", [1.0, 1.5, "1", "x", None])
+def test_degree_must_be_an_integer(j):
+    for call in (
+        lambda: relative_tp(2, 3, j, 5),
+        lambda: weight_piece_tp(2, 3, 2, j),
+        lambda: tate_cpn_homotopy(2, 1, j),
+    ):
+        with pytest.raises(ValueError, match=f"degree must be an integer, got {j!r}"):
+            call()
+
+
 def test_relative_tp_checks_the_prime_once(monkeypatch):
     calls = []
     real = tate_tp._is_prime
