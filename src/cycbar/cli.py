@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 from math import inf
 from pathlib import Path
 
-from .cyclic_bar import CyclicBar, identity_violations
+from .cyclic_bar import CyclicBar, weight_identity_violations
 from .homology import ZERO_GROUP, chain_complex, homology_groups, verify_weight_piece
 from .tate_tp import nil_invariance_report, relative_tp
 
@@ -192,7 +192,7 @@ def _verify_weight(k, i):
     """
     bar = CyclicBar(k)
     wc = bar.enumerate_weight_component(i)
-    violations = [v for _, s in wc.simplices() for v in identity_violations(bar, s)]
+    violations = weight_identity_violations(bar, wc)
     entry = _verify_entry(chain_complex(wc)) if i % k else None
     return entry, wc.alternating_count(), sum(wc.degree_counts()), violations
 
@@ -411,9 +411,8 @@ def cmd_selftest(args):
             wc = bar.enumerate_weight_component(i)
             cx = chain_complex(wc)
             at = f"at k={k}, i={i}"
-            for _, s in wc.simplices():
-                simplices += 1
-                violations += len(identity_violations(bar, s))
+            simplices += sum(wc.degree_counts())
+            violations += len(weight_identity_violations(bar, wc))
             complexes += 1
             if not cx.boundary_composes_to_zero():
                 failed.setdefault(dd, f"boundary fails to square to zero {at}")

@@ -34,12 +34,18 @@ __all__ = [
     "simplex_weight",
     "is_degenerate",
     "identity_violations",
+    "weight_identity_violations",
     "identity_report",
 ]
 
 
+def _is_integer(x):
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_order(k):
-    if not isinstance(k, int) or k < 2:
+    if not _is_integer(k) or k < 2:
         raise ValueError(f"truncation order must be an integer >= 2, got {k!r}")
 
 
@@ -161,7 +167,7 @@ class CyclicBar:
         Degrees run up to i (weight 0 needs only degree 0).  Tuples have
         a_0 in [0, k-1] and a_j in [1, k-1] for j >= 1.
         """
-        if not isinstance(i, int) or i < 0:
+        if not _is_integer(i) or i < 0:
             raise ValueError(f"weight must be a nonnegative integer, got {i!r}")
         hi = self.k - 1
         # leading entry may be the unit, the rest may not
@@ -185,7 +191,7 @@ class CyclicBar:
         computing it by closure gives an independent route to the same
         lists.
         """
-        if not isinstance(i, int) or i < 1:
+        if not _is_integer(i) or i < 1:
             raise ValueError(f"the generator needs weight >= 1, got {i!r}")
         start = (1,) * i
         seen = {start}
@@ -226,6 +232,20 @@ def _compositions(total, parts, hi):
             yield (a,) + tail
 
 
+def _require_simplex(bar, s):
+    if s is BASEPOINT:
+        raise ValueError("the identity suite needs a nonbasepoint simplex, got BASEPOINT")
+    if not (
+        isinstance(s, tuple)
+        and s
+        and all(_is_integer(a) and 0 <= a < bar.k for a in s)
+    ):
+        raise ValueError(
+            f"the identity suite needs a nonempty tuple of exponents in "
+            f"[0, {bar.k - 1}], got s={s!r}"
+        )
+
+
 def identity_violations(bar, s):
     """Instantiate every simplicial and cyclic operator identity at ``s``.
 
@@ -245,33 +265,74 @@ def identity_violations(bar, s):
         s_0 t = t^2 s_l,  s_a t = t s_{a-1}  (1 <= a <= l)
 
     Each operator image is computed once, through ``bar``'s own methods:
-    the faces and degeneracies of ``s``, the faces of each face and the
-    degeneracies of each degeneracy are listed first, and the relations
-    read both sides off those lists.  The relations, their messages and
-    their order are those of checking each relation from scratch.
+    the faces and degeneracies of ``s``, the faces and degeneracies of
+    each face and the degeneracies of each degeneracy are listed first,
+    and the relations read both sides off those lists.  The relations,
+    their messages and their order are those of checking each relation
+    from scratch.  ``weight_identity_violations`` runs the same suite over
+    a whole weight component and shares the images of faces between the
+    simplices of that weight.
 
     Returns a list of short descriptions of failures, empty when all hold.
     """
-    if s is BASEPOINT:
-        raise ValueError("the identity suite needs a nonbasepoint simplex, got BASEPOINT")
-    if not (
-        isinstance(s, tuple)
-        and s
-        and all(isinstance(a, int) and 0 <= a < bar.k for a in s)
-    ):
-        raise ValueError(
-            f"the identity suite needs a nonempty tuple of exponents in "
-            f"[0, {bar.k - 1}], got s={s!r}"
-        )
+    _require_simplex(bar, s)
+    return _violations(bar, s, {s: _images(bar, s, len(s) - 1)}, {})
+
+
+def weight_identity_violations(bar, wc):
+    """Run the identity suite at every simplex of the weight component ``wc``.
+
+    Returns the concatenation of ``identity_violations(bar, s)`` over the
+    simplices of ``wc`` in its degree-then-lex order, and refuses the same
+    simplices.  The degrees are walked in order.  The faces and
+    degeneracies of every simplex of a degree, and of the basepoint in
+    that degree, are computed through ``bar`` once and kept while that
+    degree and the next are checked.  The faces of an l-simplex are
+    (l-1)-simplices of the same weight or the basepoint, and its rotation
+    is an l-simplex of the same weight unless its entry 0 is the unit, so
+    their faces and degeneracies are looked up, not computed again.  An
+    image not kept, such as a degenerate rotation or a face a broken
+    ``bar`` sends outside the weight, is computed through ``bar``.
+    """
+    bad = []
+    below = {}
+    for l, block in enumerate(wc.simplices_by_degree):
+        for s in block:
+            _require_simplex(bar, s)
+        here = {s: _images(bar, s, l) for s in block}
+        here[BASEPOINT] = _images(bar, BASEPOINT, l)
+        for s in block:
+            bad += _violations(bar, s, here, below)
+        below = here
+    return bad
+
+
+def _images(bar, x, l):
+    """The faces and the degeneracies of ``x`` as an l-simplex, through ``bar``."""
+    faces = [bar.face(x, a) for a in range(l + 1)] if l >= 1 else []
+    return faces, [bar.degeneracy(x, b) for b in range(l + 1)]
+
+
+def _violations(bar, s, here, below):
+    """The identity suite at a valid l-simplex ``s``.
+
+    ``here`` maps ``s``, and maybe other l-simplices, to their images as
+    ``_images`` lists them; ``below`` does the same for (l-1)-simplices.
+    The images of a face or of the rotation missing from them are
+    computed through ``bar``.
+    """
     bad = []
     l = len(s) - 1
     d, sg, t = bar.face, bar.degeneracy, bar.cyclic
-    # a 0-simplex has no faces
-    faces = [d(s, a) for a in range(l + 1)] if l >= 1 else []
-    degens = [sg(s, b) for b in range(l + 1)]
+    faces, degens = here[s]
+    # the faces and the degeneracies of each face
+    ff, fs = [], []
+    for f in faces:
+        f_faces, f_degens = below.get(f) or _images(bar, f, l - 1)
+        ff.append(f_faces)
+        fs.append(f_degens)
 
     if l >= 2:
-        ff = [[d(f, c) for c in range(l)] for f in faces]
         for b in range(1, l + 1):
             for a in range(b):
                 if ff[b][a] != ff[a][b - 1]:
@@ -284,11 +345,11 @@ def identity_violations(bar, s):
     for b, sb in enumerate(degens):
         for a in range(l + 2):
             if a < b:
-                want = sg(faces[a], b - 1)
+                want = fs[a][b - 1]
             elif a in (b, b + 1):
                 want = s
             else:
-                want = sg(faces[a - 1], b)
+                want = fs[a - 1][b]
             if d(sb, a) != want:
                 bad.append(f"d_{a} s_{b} relation fails at {s}")
     r = s
@@ -297,16 +358,18 @@ def identity_violations(bar, s):
     if r != s:
         bad.append(f"t^{l + 1} != id at {s}")
     ts = t(s)
+    # the faces and the degeneracies of the rotation
+    tf, tg = here.get(ts) or _images(bar, ts, l)
     if l >= 1:
-        if d(ts, 0) != faces[l]:
+        if tf[0] != faces[l]:
             bad.append(f"d_0 t != d_{l} at {s}")
         for a in range(1, l + 1):
-            if d(ts, a) != t(faces[a - 1]):
+            if tf[a] != t(faces[a - 1]):
                 bad.append(f"d_{a} t != t d_{a-1} at {s}")
     for a in range(1, l + 1):
-        if sg(ts, a) != t(degens[a - 1]):
+        if tg[a] != t(degens[a - 1]):
             bad.append(f"s_{a} t != t s_{a-1} at {s}")
-    if sg(ts, 0) != t(t(degens[l])):
+    if tg[0] != t(t(degens[l])):
         bad.append(f"s_0 t != t^2 s_{l} at {s}")
     return bad
 
@@ -314,14 +377,20 @@ def identity_violations(bar, s):
 def identity_report(k, max_weight):
     """Run the identity suite over every simplex of weight <= max_weight.
 
+    Each weight component is checked by ``weight_identity_violations``,
+    which shares the images of faces between the simplices of one weight.
+    ``max_weight`` must be a nonnegative integer.
+
     Returns (simplices_checked, violations); an empty violation list means
     the operators satisfy all simplicial and cyclic relations on that range.
     """
     bar = CyclicBar(k)
+    if not _is_integer(max_weight) or max_weight < 0:
+        raise ValueError(f"max_weight must be a nonnegative integer, got {max_weight!r}")
     checked = 0
     violations = []
     for i in range(max_weight + 1):
-        for _, s in bar.enumerate_weight_component(i).simplices():
-            checked += 1
-            violations.extend(identity_violations(bar, s))
+        wc = bar.enumerate_weight_component(i)
+        checked += sum(wc.degree_counts())
+        violations += weight_identity_violations(bar, wc)
     return checked, violations

@@ -27,7 +27,7 @@ extended-gcd row/column operations.
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclic_bar import BASEPOINT, CyclicBar, WeightComponent, _require_order
+from .cyclic_bar import BASEPOINT, CyclicBar, WeightComponent, _is_integer, _require_order
 
 __all__ = [
     "AbelianGroup",
@@ -406,7 +406,7 @@ class WeightPieceReport:
 
 
 def _require_weight(i):
-    if not isinstance(i, int) or i < 1:
+    if not _is_integer(i) or i < 1:
         raise ValueError(f"weight must be a positive integer, got {i!r}")
 
 

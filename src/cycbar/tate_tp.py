@@ -25,7 +25,7 @@ exponents are bounded, which happens exactly when k is a power of p.
 from dataclasses import dataclass
 from math import inf
 
-from .cyclic_bar import _require_order
+from .cyclic_bar import _is_integer, _require_order
 from .homology import ZERO_GROUP, AbelianGroup, _require_weight
 
 __all__ = [
@@ -78,7 +78,7 @@ def _is_prime(p):
 
 
 def _require_prime(p):
-    if not isinstance(p, int) or p < 2:
+    if not _is_integer(p) or p < 2:
         raise ValueError(f"expected a prime, got {p!r}")
     if p >= PRIME_BOUND:
         raise ValueError(f"primality is only decided below {PRIME_BOUND}, got {p}")
@@ -87,7 +87,7 @@ def _require_prime(p):
 
 
 def _require_degree(j):
-    if not isinstance(j, int):
+    if not _is_integer(j):
         raise ValueError(f"degree must be an integer, got {j!r}")
 
 
@@ -115,7 +115,7 @@ def tate_cpn_homotopy(p, n, j):
     degrees.  n = 0 gives the zero module.
     """
     _require_prime(p)
-    if not isinstance(n, int) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     _require_degree(j)
     if j % 2 == 0:
@@ -222,7 +222,7 @@ def relative_tp(p, k, j, truncation):
     _require_prime(p)
     _require_order(k)
     _require_degree(j)
-    if not isinstance(truncation, int) or truncation < 1:
+    if not _is_integer(truncation) or truncation < 1:
         raise ValueError(f"truncation must be a positive integer, got {truncation!r}")
     if j % 2 == 1:
         factors = tuple(_factor(p, k, i, j) for i in range(1, truncation + 1))

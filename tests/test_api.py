@@ -15,6 +15,7 @@ HOMES = {
         "identity_violations",
         "is_degenerate",
         "simplex_weight",
+        "weight_identity_violations",
     ],
     cycbar.homology: [
         "AbelianGroup",
@@ -44,7 +45,7 @@ HOMES = {
 
 def test_public_names():
     assert sorted(cycbar.__all__) == sorted(n for names in HOMES.values() for n in names)
-    assert len(cycbar.__all__) == 26
+    assert len(cycbar.__all__) == 27
 
 
 def test_public_names_are_the_module_objects():

@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 from cycbar.cyclic_bar import (
     BASEPOINT,
     CyclicBar,
+    WeightComponent,
     identity_report,
     identity_violations,
     is_degenerate,
     simplex_weight,
+    weight_identity_violations,
 )
 
 
@@ -140,6 +142,17 @@ def test_rejects_bad_weights():
         bar.generated_cyclic_subset(-2)
 
 
+def test_enumerate_refuses_booleans():
+    bar = CyclicBar(3)
+    for i in (True, False):
+        with pytest.raises(ValueError, match=f"got {i!r}"):
+            bar.enumerate_weight_component(i)
+    with pytest.raises(ValueError, match="got True"):
+        bar.generated_cyclic_subset(True)
+    with pytest.raises(ValueError, match="got True"):
+        CyclicBar(True)
+
+
 def test_generated_equals_enumerated_small():
     for k in (2, 3, 4):
         bar = CyclicBar(k)
@@ -165,6 +178,12 @@ def test_identity_suite_small():
         checked, violations = identity_report(k, 8)
         assert checked > 0
         assert violations == []
+
+
+@pytest.mark.parametrize("max_weight", [-1, 2.5, True, "3", None])
+def test_identity_report_refuses_bad_max_weight(max_weight):
+    with pytest.raises(ValueError, match=f"max_weight must be .*, got {re.escape(repr(max_weight))}"):
+        identity_report(3, max_weight)
 
 
 def test_identity_violations_on_one_simplex():
@@ -332,6 +351,16 @@ def test_identity_violations_match_reference():
     assert all(caught.values()), caught
 
 
+def test_weight_identity_violations_match_reference():
+    for k in range(2, 6):
+        for cls in (CyclicBar,) + BROKEN_BARS:
+            bar = cls(k)
+            for i in range(9):
+                wc = bar.enumerate_weight_component(i)
+                want = [v for _, s in wc.simplices() for v in _reference_violations(bar, s)]
+                assert weight_identity_violations(bar, wc) == want, (cls, k, i)
+
+
 class _CountingBar(CyclicBar):
     def __init__(self, k):
         super().__init__(k)
@@ -365,15 +394,31 @@ def test_identity_violations_compute_each_image_once():
     assert new["cyclic"] == old["cyclic"]
 
 
+def test_weight_identity_violations_share_images():
+    bar = _CountingBar(3)
+    for i in range(11):
+        weight_identity_violations(bar, bar.enumerate_weight_component(i))
+    # one simplex at a time, identity_violations makes 50,842 face and
+    # 50,857 degeneracy calls over the same weights
+    assert bar.calls["face"] <= 33000
+    assert bar.calls["degeneracy"] <= 33000
+    assert bar.calls["cyclic"] == 9823
+
+
 def test_identity_violations_rejects_bad_simplices():
     bar = CyclicBar(3)
     with pytest.raises(ValueError, match="basepoint"):
         identity_violations(bar, BASEPOINT)
     # the first operator call that fails may differ, so only the type is pinned
-    for s in [(), (7,), (5, 1), (1, -1, 1)]:
+    for s in [(), (7,), (5, 1), (1, -1, 1), (True, 1)]:
         with pytest.raises(ValueError):
             identity_violations(bar, s)
     # each is refused before any operator runs, by a message that names it
-    for s in [(), (7,), (5, 1), (1, -1, 1)]:
+    for s in [(), (7,), (5, 1), (1, -1, 1), (True, 1)]:
         with pytest.raises(ValueError, match=re.escape(f"in [0, 2], got s={s!r}")):
             identity_violations(bar, s)
+    # the weight-level suite refuses them by the same messages
+    for s in [BASEPOINT, (), (7,), (5, 1), (1, -1, 1), (True, 1)]:
+        wc = WeightComponent(3, 2, ((), (s,)))
+        with pytest.raises(ValueError, match="basepoint" if s is BASEPOINT else "got s="):
+            weight_identity_violations(bar, wc)

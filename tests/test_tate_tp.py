@@ -194,6 +194,32 @@ def test_degree_must_be_an_integer(j):
             call()
 
 
+_BOOLEAN_CALLS = {
+    "weight_piece_tp": [
+        lambda: weight_piece_tp(2, 3, True, True),
+        lambda: weight_piece_tp(2, 3, 2, True),
+    ],
+    "relative_tp": [
+        lambda: relative_tp(2, 3, 1, True),
+        lambda: relative_tp(2, 3, True, 5),
+    ],
+    "tate_cpn_homotopy": [
+        lambda: tate_cpn_homotopy(2, True, 0),
+        lambda: tate_cpn_homotopy(2, 1, False),
+    ],
+    "p_adic_valuation": [lambda: p_adic_valuation(2, True)],
+    "lambda_dim": [lambda: lambda_dim(True, 3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOOLEAN_CALLS))
+def test_booleans_are_refused(name):
+    # bool is a subclass of int, so each integer check must refuse it explicitly
+    for call in _BOOLEAN_CALLS[name]:
+        with pytest.raises(ValueError, match="got (True|False)$"):
+            call()
+
+
 def test_relative_tp_checks_the_prime_once(monkeypatch):
     calls = []
     real = tate_tp._is_prime
