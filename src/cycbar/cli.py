@@ -3,7 +3,8 @@
 Commands:
 
 * ``homology``: basis sizes and integral homology of weight components.
-* ``verify``: computed homology against the sphere-smash closed form,
+* ``verify``: computed homology of every weight 1..max_i against the
+  closed form (Z in degrees 2d, 2d+1, or Z/k in degree 2d+1 when k | i),
   plus the operator-identity and alternating-count suites.
 * ``tp``: the factor table of one degree of the relative periodic
   theory, with truncation notice and verdicts.
@@ -183,18 +184,25 @@ def _verify_entry(cx):
     }
 
 
-def _verify_weight(k, i):
-    """All of verify's checks at weight i, from one enumeration.
+def _weight_check(k, i, dd=False):
+    """Every per-weight check at (k, i), from one enumeration and one complex.
 
-    Returns the closed-form entry (None when k divides i), the
-    alternating count, the number of simplices whose operator identities
-    were checked, and the identity violations.
+    The only place the per-weight rules live.  Weight i >= 1 gets a
+    closed-form ``piece`` and an ``euler`` node; ``dd`` is checked only
+    when asked for.  The record holds no simplices and no matrices, since
+    ``--jobs`` ships it between processes.
     """
     bar = CyclicBar(k)
     wc = bar.enumerate_weight_component(i)
-    violations = weight_identity_violations(bar, wc)
-    entry = _verify_entry(chain_complex(wc)) if i % k else None
-    return entry, wc.alternating_count(), sum(wc.degree_counts()), violations
+    cx = chain_complex(wc)
+    count = wc.alternating_count()
+    return {
+        "cells": sum(wc.degree_counts()),
+        "violations": weight_identity_violations(bar, wc),
+        "piece": _verify_entry(cx) if i >= 1 else None,
+        "euler": {"i": i, "alternating_count": count, "ok": count == 0} if i >= 1 else None,
+        "dd": cx.boundary_composes_to_zero() if dd else None,
+    }
 
 
 def _worker_count(jobs, n_items):
@@ -262,21 +270,16 @@ def _homology_lines(tree):
 
 
 def cmd_verify(args):
-    results = _run_jobs(partial(_verify_weight, args.k), range(args.max_i + 1), args.jobs)
-    entries, euler, checked, violations = [], [], 0, []
-    for i, (entry, count, simplices, bad) in enumerate(results):
-        if entry is not None:
-            entries.append(entry)
-        if i >= 1:
-            euler.append({"i": i, "alternating_count": count, "ok": count == 0})
-        checked += simplices
-        violations.extend(bad)
+    records = _run_jobs(partial(_weight_check, args.k), range(args.max_i + 1), args.jobs)
+    entries = [r["piece"] for r in records if r["piece"]]
+    euler = [r["euler"] for r in records if r["euler"]]
+    violations = [v for r in records for v in r["violations"]]
     return {
         "config": {"k": args.k, "max_i": args.max_i},
         "weight_pieces": entries,
         "euler": euler,
         "identities": {
-            "simplices_checked": checked,
+            "simplices_checked": sum(r["cells"] for r in records),
             "violations": violations,
         },
         "ok": (
@@ -293,8 +296,11 @@ def _verify_lines(tree):
     lines.append("  sphere-smash closed form:")
     for e in tree["weight_pieces"]:
         if e["match"]:
+            # one group per weight in the closed form: Z twice, or Z/k once
+            group = e["degrees"][0]["expected"]["name"]
             degs = ", ".join(str(r["degree"]) for r in e["degrees"])
-            lines.append(f"    i={e['i']:>2}: match  (Z at degrees {degs})")
+            shown = f"{group} at degree{'s' * (len(e['degrees']) > 1)} {degs}"
+            lines.append(f"    i={e['i']:>2}: match  ({shown})")
         else:
             lines.append(f"    i={e['i']:>2}: MISMATCH")
             for r in e["degrees"]:
@@ -390,7 +396,7 @@ SELFTEST_MAX_WEIGHT = 10
 
 
 def cmd_selftest(args):
-    """Every check at each (k, i), from one enumeration and one complex.
+    """Fold ``_weight_check`` over each (k, i) of the fixed grid.
 
     A failed check reports its first failing (k, i), k outer and i inner;
     the identities check reports the violation total of the first
@@ -402,36 +408,31 @@ def cmd_selftest(args):
         "alternating counts vanish",
         "homology matches the closed form",
     )
-    simplices = complexes = weights = pieces = 0
+    grid = {
+        (k, i): _weight_check(k, i, dd=True)
+        for k in SELFTEST_K
+        for i in range(SELFTEST_MAX_WEIGHT + 1)
+    }
+    records = grid.values()
     failed = {}
+    for (k, i), r in grid.items():
+        at = f"at k={k}, i={i}"
+        if not r["dd"]:
+            failed.setdefault(dd, f"boundary fails to square to zero {at}")
+        if r["euler"] and not r["euler"]["ok"]:
+            count = r["euler"]["alternating_count"]
+            failed.setdefault(euler, f"alternating count {count} {at}")
+        if r["piece"] and not r["piece"]["match"]:
+            failed.setdefault(sphere, f"homology mismatch {at}")
     for k in SELFTEST_K:
-        bar = CyclicBar(k)
-        violations = 0
-        for i in range(SELFTEST_MAX_WEIGHT + 1):
-            wc = bar.enumerate_weight_component(i)
-            cx = chain_complex(wc)
-            at = f"at k={k}, i={i}"
-            simplices += sum(wc.degree_counts())
-            violations += len(weight_identity_violations(bar, wc))
-            complexes += 1
-            if not cx.boundary_composes_to_zero():
-                failed.setdefault(dd, f"boundary fails to square to zero {at}")
-            if i >= 1:
-                weights += 1
-                count = wc.alternating_count()
-                if count:
-                    failed.setdefault(euler, f"alternating count {count} {at}")
-            if i % k:
-                pieces += 1
-                if not verify_weight_piece(cx).matches:
-                    failed.setdefault(sphere, f"homology mismatch {at}")
+        violations = sum(len(r["violations"]) for (kk, _), r in grid.items() if kk == k)
         if violations:
             failed.setdefault(ids, f"k={k}: {violations} violations")
     passed = {
-        ids: f"{simplices} simplices checked",
-        dd: f"{complexes} complexes checked",
-        euler: f"{weights} weights checked",
-        sphere: f"{pieces} weight pieces matched",
+        ids: f"{sum(r['cells'] for r in records)} simplices checked",
+        dd: f"{len(grid)} complexes checked",
+        euler: f"{sum(1 for r in records if r['euler'])} weights checked",
+        sphere: f"{sum(1 for r in records if r['piece'])} weight pieces matched",
     }
     return {
         "config": {"k_values": list(SELFTEST_K), "max_i": SELFTEST_MAX_WEIGHT},

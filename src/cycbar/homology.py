@@ -7,10 +7,9 @@ hit the basepoint contribute nothing.  No face is degenerate: merging two
 entries of a nondegenerate tuple yields an entry that is either >= 1 or
 overflows to the basepoint, so every other face is a basis element.
 
-The closed form checked against lives here too: away from multiples of
-k, the weight-i component has the homology of S^(2d) smashed with a
-disjointly based circle, d = floor((i-1)/k) (Hesselholt and Madsen,
-Invent. Math. 1997).
+The closed form checked against lives here too, at every weight i >= 1
+(``expected_reduced_homology``; Hesselholt and Madsen, Invent. Math.
+1997).
 
 Homology is read off Smith normal forms of the boundary matrices, in
 two stages (Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
@@ -422,26 +421,23 @@ def lambda_dim(i, k):
 
 
 def expected_reduced_homology(i, k):
-    """Reduced integral homology predicted for the weight-i component.
+    """Reduced integral homology predicted for the weight-i component, i >= 1.
 
-    Defined only away from multiples of k, where the component has the
-    homology of S^(2d) smashed with a disjointly based circle: a single Z
-    in degrees 2d and 2d+1, d = floor((i-1)/k).
+    With d = floor((i-1)/k): a single Z in degrees 2d and 2d+1 (the
+    homology of S^(2d) smashed with a disjointly based circle) when k does
+    not divide i, and a single Z/k in degree 2d+1 when it does.
     """
     d2 = 2 * lambda_dim(i, k)
     if i % k == 0:
-        raise ValueError(
-            f"weight {i} is a multiple of {k}: the sphere-smash form only "
-            "covers the coprime-to-truncation weights"
-        )
+        return {d2 + 1: AbelianGroup.cyclic(k)}
     return {d2: AbelianGroup.free(1), d2 + 1: AbelianGroup.free(1)}
 
 
 def verify_weight_piece(cx):
     """Compare the homology of a weight component's chain complex with the closed form.
 
-    Only weights i not a multiple of k have the closed-form answer, so
-    weight 0 and multiples of k are rejected before any reduction.
+    The closed form covers every weight i >= 1; weight 0 and negative
+    weights are rejected before any reduction.
     """
     k, i = cx.k, cx.i
     expected = expected_reduced_homology(i, k)

@@ -12,9 +12,9 @@ and nothing in even degrees (v_p is the p-adic valuation).  The factor
 for a single weight arises as the homotopy of a Tate construction
 whose value is a rank-one free module over Z/p^n[t, 1/t] with |t| = -2,
 generated in degree 2d for d = floor((i-1)/k); the same d governs the
-homological shape of the weight component itself, which for i not a
-multiple of k looks like a 2d-sphere smashed with a disjointly based
-circle (``homology.expected_reduced_homology``).
+homological shape of the weight component itself: a 2d-sphere smashed
+with a disjointly based circle when k does not divide i, and a single
+Z/k in degree 2d+1 when it does (``homology.expected_reduced_homology``).
 
 Nil-invariance verdicts fall out of the exponent pattern alone: some
 factor is nonzero for every k >= 2, so the relative theory never

@@ -99,7 +99,7 @@ def test_verify_json_shape(capsys):
     assert code == 0
     tree = json.loads(out)
     assert tree["ok"] is True
-    assert [w["i"] for w in tree["weight_pieces"]] == [1, 3, 5]
+    assert [w["i"] for w in tree["weight_pieces"]] == [1, 2, 3, 4, 5]
     assert all(w["match"] for w in tree["weight_pieces"])
     assert all(e["alternating_count"] == 0 for e in tree["euler"])
     assert tree["identities"]["violations"] == []
@@ -389,7 +389,7 @@ def _break_selftest(monkeypatch, check):
         groups = cycbar.homology.homology_groups
         monkeypatch.setattr(
             cycbar.homology, "homology_groups",
-            lambda cx: {} if (cx.k, cx.i) in {(3, 5), (4, 1)} else groups(cx),
+            lambda cx: {} if (cx.k, cx.i) in {(3, 5), (3, 6), (4, 1)} else groups(cx),
         )
 
 
@@ -397,7 +397,7 @@ SELFTEST_PASS = {
     "identities": "PASS  operator identities (1683 simplices checked)",
     "boundary": "PASS  boundary squares to zero (33 complexes checked)",
     "euler": "PASS  alternating counts vanish (30 weights checked)",
-    "sphere": "PASS  homology matches the closed form (20 weight pieces matched)",
+    "sphere": "PASS  homology matches the closed form (30 weight pieces matched)",
 }
 SELFTEST_FAIL = {
     "identities": "FAIL  operator identities (k=3: 5165 violations)",
@@ -432,17 +432,23 @@ def test_selftest_failure_details(capsys, monkeypatch):
         ] == want
 
 
-# passing line of verify --k 3 --max-i 7 -> its lines with the check broken
+# passing lines of verify --k 3 --max-i 7 -> their lines with the check broken
 VERIFY_FAIL = {
-    "sphere": ("    i= 5: match  (Z at degrees 2, 3)", [
-        "    i= 5: MISMATCH",
-        "      degree 2: computed 0, expected Z",
-        "      degree 3: computed 0, expected Z",
-    ]),
-    "euler": ("  alternating counts: 7 weights, all zero",
-              ["  alternating counts: 7 weights, 1 NONZERO"]),
-    "identities": ("  operator identities: 107 simplices, 0 violations",
-                   ["  operator identities: 107 simplices, 837 violations"]),
+    "sphere": {
+        "    i= 5: match  (Z at degrees 2, 3)": [
+            "    i= 5: MISMATCH",
+            "      degree 2: computed 0, expected Z",
+            "      degree 3: computed 0, expected Z",
+        ],
+        "    i= 6: match  (Z/3 at degree 3)": [
+            "    i= 6: MISMATCH",
+            "      degree 3: computed 0, expected Z/3",
+        ],
+    },
+    "euler": {"  alternating counts: 7 weights, all zero":
+              ["  alternating counts: 7 weights, 1 NONZERO"]},
+    "identities": {"  operator identities: 107 simplices, 0 violations":
+                   ["  operator identities: 107 simplices, 837 violations"]},
 }
 
 
@@ -459,15 +465,16 @@ def test_verify_failure_report(capsys, monkeypatch):
             json_code, json_out, _ = run(capsys, *argv, "--format", "json")
         want = []
         for line in passing[:-1]:
-            fixed = [new for c, (old, new) in VERIFY_FAIL.items() if c in broken and line == old]
+            fixed = [VERIFY_FAIL[c][line] for c in broken if line in VERIFY_FAIL[c]]
             want.extend(fixed[0] if fixed else [line])
         assert code == json_code == 1
         assert out.splitlines() == want + ["overall: FAIL"]
         tree = json.loads(json_out)
         assert tree["ok"] is False
-        piece = {w["i"]: w for w in tree["weight_pieces"]}[5]
+        pieces = {w["i"]: w for w in tree["weight_pieces"]}
         sphere = "sphere" in broken
-        assert (piece["match"], piece["mismatched_degrees"]) == (not sphere, [2, 3] if sphere else [])
+        assert (pieces[5]["match"], pieces[5]["mismatched_degrees"]) == (not sphere, [2, 3] if sphere else [])
+        assert (pieces[6]["match"], pieces[6]["mismatched_degrees"]) == (not sphere, [3] if sphere else [])
         assert len(tree["identities"]["violations"]) == (837 if "identities" in broken else 0)
         euler = "euler" in broken
         assert tree["euler"][-1] == {"i": 7, "alternating_count": 5 if euler else 0, "ok": not euler}

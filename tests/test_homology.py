@@ -16,6 +16,7 @@ from cycbar.homology import (
     _eliminate_unit_pivots,
     _invariant_factors,
     chain_complex,
+    expected_reduced_homology,
     homology_groups,
     smith_normal_form,
     verify_weight_piece,
@@ -301,12 +302,15 @@ def test_verify_weight_piece_matches():
     assert rep.expected == {4: Z, 5: Z}
 
 
-def test_verify_weight_piece_rejects_multiples():
-    for k, i, reason in ((2, 4, "multiple of 2"), (3, 3, "multiple of 3"),
-                         (2, 0, "positive integer")):
-        cx = chain_complex(CyclicBar(k).enumerate_weight_component(i))
-        with pytest.raises(ValueError, match=reason):
-            verify_weight_piece(cx)
+def test_verify_weight_piece_rejects_nonpositive_weights():
+    # multiples of k are checked against Z/k in degree 2d+1
+    for k, i, degree in ((2, 4, 3), (3, 3, 1)):
+        rep = verify_weight_piece(chain_complex(CyclicBar(k).enumerate_weight_component(i)))
+        assert rep.matches
+        assert rep.expected == {degree: AbelianGroup.cyclic(k)}
+    cx = chain_complex(CyclicBar(2).enumerate_weight_component(0))
+    with pytest.raises(ValueError, match="positive integer"):
+        verify_weight_piece(cx)
     cx = chain_complex(WeightComponent(2, -1))
     with pytest.raises(ValueError, match="positive integer"):
         verify_weight_piece(cx)
@@ -325,14 +329,20 @@ def test_homology_does_not_import_tate_tp():
     assert not any("tate_tp" in name for name in imported), imported
 
 
-def test_torsion_outside_closed_form_weights():
-    # multiples of k carry pure torsion: frozen for the smallest cases
+def test_torsion_at_multiples_of_k():
+    # multiples of k carry pure torsion: frozen for the smallest cases,
+    # then the closed form (Z/k in degree 2d+1) at every multiple up to 12
     h = homology_groups(chain_complex(CyclicBar(2).enumerate_weight_component(4)))
     nonzero = {l: str(g) for l, g in h.items() if not g.is_trivial}
     assert nonzero == {3: "Z/2"}
     h = homology_groups(chain_complex(CyclicBar(3).enumerate_weight_component(3)))
     nonzero = {l: str(g) for l, g in h.items() if not g.is_trivial}
     assert nonzero == {1: "Z/3"}
+    for k in (2, 3, 4, 5):
+        for i in range(k, 13, k):
+            h = homology_groups(chain_complex(CyclicBar(k).enumerate_weight_component(i)))
+            nonzero = {l: g for l, g in h.items() if not g.is_trivial}
+            assert nonzero == expected_reduced_homology(i, k), (k, i)
 
 
 # --- sparse unit-pivot elimination against the dense Smith form -----------

@@ -236,22 +236,22 @@ def test_expected_reduced_homology():
     assert expected_reduced_homology(1, 2) == {0: Z, 1: Z}
     assert expected_reduced_homology(5, 2) == {4: Z, 5: Z}
     assert expected_reduced_homology(7, 3) == {4: Z, 5: Z}
-    with pytest.raises(ValueError):
-        expected_reduced_homology(4, 2)
+    assert expected_reduced_homology(4, 2) == {3: AbelianGroup.cyclic(2)}
+    assert expected_reduced_homology(3, 3) == {1: AbelianGroup.cyclic(3)}
+    assert expected_reduced_homology(12, 4) == {5: AbelianGroup.cyclic(4)}
     with pytest.raises(ValueError):
         expected_reduced_homology(0, 2)
 
 
 def test_degree_offset_and_parity_share_lambda_dim():
-    # the homological window {2d, 2d+1} and the odd-degree rule are the
-    # same parity statement: j - 2d + 1 even iff j odd, for the same d
+    # the homological window {2d, 2d+1} ({2d+1} when k | i) and the
+    # odd-degree rule are the same parity statement: j - 2d + 1 even iff
+    # j odd, for the same d
     for k in (2, 3, 5):
         for i in range(1, 25):
-            if i % k == 0:
-                continue
             degrees = sorted(expected_reduced_homology(i, k))
             d2 = 2 * lambda_dim(i, k)
-            assert degrees == [d2, d2 + 1]
+            assert degrees == ([d2 + 1] if i % k == 0 else [d2, d2 + 1])
             for j in range(-3, 4):
                 factor = weight_piece_tp(2, k, i, j)
                 allowed = (j - d2 + 1) % 2 == 0
