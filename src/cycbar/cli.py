@@ -14,15 +14,18 @@ Commands:
 Each handler computes its report once, as a JSON tree, and prints
 nothing; a text function bound beside it makes the text lines from the
 finished tree.  ``main`` adds the ``tool`` and ``command`` fields,
-renders only the format asked for, writes it to stdout or ``--out``, and
-picks the exit code.  ``--format json`` prints the bytes of
+renders only the format asked for, writes it to stdout or ``--out``
+(opened only once the report is ready), and picks the exit code.
+``--format json`` prints the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` (stable field names,
-sorted keys, so identical inputs give identical bytes), written by
-``_json_text`` through the C encoder: one call per container of scalars,
-and one per block of records for a record table such as ``tp``'s
-``factors`` or ``verify``'s ``euler``.  Exit codes: 0 on success, 1 when
-the report's ``ok`` is false (a mathematical check failed), 2 for usage
-or validation errors, an unwritable ``--out`` included.
+sorted keys, so identical inputs give identical bytes), made by
+``_json_chunks`` through the C encoder: one call per container of
+scalars, and one per block of records for a record table such as
+``tp``'s ``factors`` or ``verify``'s ``euler``.  Each chunk is written
+as it is made, so no command holds its rendered JSON.  Exit codes: 0 on
+success, 1 when the report's ``ok`` is false (a mathematical check
+failed), 2 for usage or validation errors, an unwritable ``--out``
+included.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import os
 import sys
 from functools import lru_cache, partial
 from math import inf
-from pathlib import Path
 
 from .cyclic_bar import CyclicBar, weight_identity_violations
 from .homology import ZERO_GROUP, chain_complex, homology_groups, verify_weight_piece
@@ -474,8 +476,8 @@ def _flat_encoder(depth):
 _RECORD_BLOCK = 1024
 
 
-def _record_items(records, depth):
-    """The items of a record table at ``depth``, one encoder call per block.
+def _record_blocks(records, depth):
+    """The items of a record table at ``depth``, one chunk per block of records.
 
     A record table is a list of nonempty dicts of scalars.  The block's
     encoder puts each record's keys at ``depth + 2``, so only the
@@ -483,53 +485,71 @@ def _record_items(records, depth):
     escapes every newline inside a string, so a raw newline comes from a
     separator.  Inside a record, the character before a separator ends a
     scalar and the one after it opens a key, so ``},`` + inner + ``{`` is
-    exactly a boundary between two records.
+    exactly a boundary between two records.  Every chunk but the first
+    starts with the separator from the block before it.
     """
     outer = "\n" + "  " * (depth + 1)
     inner = outer + "  "
     encode = _flat_encoder(depth + 1)
     boundary, fixed = "}," + inner + "{", outer + "}," + outer + "{" + inner
-    return ("," + outer).join(
-        "{" + inner
-        + encode(records[start:start + _RECORD_BLOCK])[2:-2].replace(boundary, fixed)
-        + outer + "}"
-        for start in range(0, len(records), _RECORD_BLOCK)
-    )
+    for start in range(0, len(records), _RECORD_BLOCK):
+        yield (
+            ("," + outer if start else "") + "{" + inner
+            + encode(records[start:start + _RECORD_BLOCK])[2:-2].replace(boundary, fixed)
+            + outer + "}"
+        )
 
 
-def _json_text(node, depth=0):
-    """``json.dumps(node, indent=2, sort_keys=True)``, byte for byte.
+def _json_chunks(node, depth=0):
+    """``json.dumps(node, indent=2, sort_keys=True)``, byte for byte, in chunks.
 
     ``node`` is a tree of dicts with text keys, lists and JSON scalars,
     rendered as if it sat ``depth`` levels deep.  A container of scalars
-    is one call of a cached C encoder and gets the indented brackets
-    around its items.  A record table is one call per block of records
-    (``_record_items``).  Other containers recurse.  The pure-Python
-    encoder that ``indent`` selects is slower and, for a large tree,
-    holds one small chunk string per token until it joins them.
+    is one call of a cached C encoder, yielded between its indented
+    brackets.  A record table yields one chunk per block of records
+    (``_record_blocks``).  Other containers recurse.  So no chunk is much
+    longer than a block, and the caller writes each one as it comes
+    without ever holding the whole text.  The pure-Python encoder that
+    ``indent`` selects is slower and, for a large tree, holds one small
+    chunk string per token until it joins them.
     """
     if isinstance(node, dict):
         values, brackets = node.values(), "{}"
     elif isinstance(node, (list, tuple)):
         values, brackets = node, "[]"
     else:
-        return json.dumps(node)
+        yield json.dumps(node)
+        return
     if not node:
-        return brackets
+        yield brackets
+        return
     pad = "\n" + "  " * (depth + 1)
+    yield brackets[0] + pad
     if all(type(v) in _SCALARS for v in values):
-        body = _flat_encoder(depth)(node)[1:-1]
+        yield _flat_encoder(depth)(node)[1:-1]
     elif type(node) is list and all(
         type(r) is dict and r and _SCALARS.issuperset(map(type, r.values())) for r in node
     ):
-        body = _record_items(node, depth)
+        yield from _record_blocks(node, depth)
     elif isinstance(node, dict):
-        body = ("," + pad).join(
-            f"{json.dumps(key)}: {_json_text(node[key], depth + 1)}" for key in sorted(node)
-        )
+        for n, key in enumerate(sorted(node)):
+            yield ("," + pad if n else "") + json.dumps(key) + ": "
+            yield from _json_chunks(node[key], depth + 1)
     else:
-        body = ("," + pad).join(_json_text(v, depth + 1) for v in node)
-    return brackets[0] + pad + body + pad[:-2] + brackets[1]
+        for n, v in enumerate(node):
+            if n:
+                yield "," + pad
+            yield from _json_chunks(v, depth + 1)
+    yield pad[:-2] + brackets[1]
+
+
+def _write_report(out, args, report):
+    """Render ``report`` in the format asked for, writing it to ``out`` as it is made."""
+    if args.fmt == "json":
+        out.writelines(_json_chunks({"tool": "cycbar", "command": args.command, **report}))
+    else:
+        out.write("\n".join(args.lines(report)))
+    out.write("\n")
 
 
 def main(argv=None):
@@ -537,17 +557,15 @@ def main(argv=None):
     try:
         _check_args(args)
         report = args.handler(args)
-        if args.fmt == "json":
-            payload = _json_text({"tool": "cycbar", "command": args.command, **report}) + "\n"
-        else:
-            payload = "\n".join(args.lines(report)) + "\n"
         if args.out:
+            # opened only now, so a refused run leaves an existing file as it was
             try:
-                Path(args.out).write_text(payload)
+                with open(args.out, "w") as out:
+                    _write_report(out, args, report)
             except OSError as exc:
                 raise UsageError(f"cannot write --out: {exc}") from None
         else:
-            sys.stdout.write(payload)
+            _write_report(sys.stdout, args, report)
     except ValueError as exc:
         # UsageError and validation errors from the library both land here
         print(f"error: {exc}", file=sys.stderr)

@@ -128,7 +128,7 @@ def weight_piece_exponent(p, k, i):
     return weight_piece_tp(p, k, i, 1).exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicFactor:
     """One weight's contribution Z/p^exponent to an odd relative degree."""
 

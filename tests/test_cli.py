@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -214,6 +215,10 @@ def test_tp_json_factors(capsys):
     ]
 
 
+def _json_text(tree):
+    return "".join(cycbar.cli._json_chunks(tree))
+
+
 _JSON_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -236,7 +241,7 @@ _JSON_TREES = st.recursive(
 @settings(deadline=None, max_examples=300)
 @given(_JSON_TREES)
 def test_json_text_is_json_dumps(tree):
-    assert cycbar.cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 def _records(n, strings=("Z/2",)):
@@ -249,7 +254,7 @@ def _records(n, strings=("Z/2",)):
 def _assert_json_text(records):
     # at depth 0, and one level down beside another key
     for tree in (records, {"factors": records, "k": 3}):
-        assert cycbar.cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+        assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
@@ -303,7 +308,7 @@ def test_json_text_encodes_records_in_blocks(monkeypatch):
 
     monkeypatch.setattr(cycbar.cli, "_flat_encoder", counted)
     records = _records(5000)
-    assert cycbar.cli._json_text(records) == json.dumps(records, indent=2, sort_keys=True)
+    assert _json_text(records) == json.dumps(records, indent=2, sort_keys=True)
     assert len(sizes) <= math.ceil(5000 / 1024)
     assert sum(sizes) == 5000 and max(sizes) <= 1024
 
@@ -313,6 +318,56 @@ def test_tp_json_bytes_are_json_dumps(capsys):
                        "--truncate", "5000", "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_tp_json_is_written_in_chunks(monkeypatch):
+    # no chunk and no write holds the table: each is at most a block of
+    # records, so a change that joins the payload again fails here
+    argv = ["tp", "--p", "2", "--k", "6", "--j", "1", "--truncate", "20000", "--format", "json"]
+    stdout = _Writes()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(argv) == 0
+    out = stdout.getvalue()
+    tree = json.loads(out)
+    chunks = list(cycbar.cli._json_chunks(tree))
+    assert "".join(chunks) + "\n" == out == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    for sizes in (list(map(len, chunks)), stdout.sizes):
+        assert len(sizes) >= 20
+        assert max(sizes) <= 256 * 1024
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, fmt):
+    argv = ["tp", "--p", "2", "--k", "6", "--j", "1", "--truncate", "5000", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / f"tp.{fmt}"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_refused_run_leaves_out_file_untouched(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"earlier report\n\x00")
+    code, out, err = run(
+        capsys, "tp", "--p", "4", "--k", "3", "--j", "1", "--truncate", "5",
+        "--format", "json", "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: expected a prime, got composite 4\n"
+    assert target.read_bytes() == b"earlier report\n\x00"
 
 
 def test_json_format_builds_no_text(capsys, monkeypatch):

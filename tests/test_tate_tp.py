@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from math import inf
 
 import pytest
@@ -156,6 +159,20 @@ def test_relative_tp_frozen_lists():
     rep = relative_tp(3, 9, 1, 12)
     nonzero = {f.weight: f.exponent for f in rep.factors if f.exponent}
     assert nonzero == {3: 1, 6: 1, 9: 2, 12: 1}
+
+
+def test_cyclic_factor_is_a_frozen_slotted_value():
+    # slots keep a 100k-factor table small; pickling, copying and replace
+    # must still give equal, equally hashed values
+    f = relative_tp(2, 6, 1, 12).factors[-1]
+    assert (f.weight, f.exponent, f.multiple_of_k) == (12, 1, True)
+    assert not hasattr(f, "__dict__")
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f and hash(g) == hash(f)
+        assert g.group == f.group
+    assert dataclasses.replace(f, exponent=2).order == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.exponent = 3
 
 
 def test_relative_tp_even_degree_vanishes():
