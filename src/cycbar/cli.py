@@ -11,21 +11,24 @@ Commands:
 * ``verdict``: nil-invariance verdicts for one pair (p, k).
 * ``selftest``: the built-in property suite on a fixed small range.
 
-Each handler computes its report once, as a JSON tree, and prints
-nothing; a text function bound beside it makes the text lines from the
-finished tree.  ``main`` adds the ``tool`` and ``command`` fields,
-renders only the format asked for, writes it to stdout or ``--out``
-(opened only once the report is ready), and picks the exit code.
-``--format json`` prints the bytes of
+Each handler checks its input and computes its report once, as a JSON
+tree, and prints nothing; a text generator bound beside it yields the
+text lines from the finished tree.  ``tp``'s ``factors`` is the one
+part left unmade: a ``_RecordTable`` that makes its records from the
+exponent rule 1,024 weights at a time while they are written, so no
+command holds the table.  ``main`` adds the ``tool`` and ``command``
+fields, renders only the format asked for, writes it to stdout or
+``--out`` (opened only once the report is ready), and picks the exit
+code.  ``--format json`` prints the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` (stable field names,
 sorted keys, so identical inputs give identical bytes), made by
 ``_json_chunks`` through the C encoder: one call per container of
 scalars, and one per block of records for a record table such as
-``tp``'s ``factors`` or ``verify``'s ``euler``.  Each chunk is written
-as it is made, so no command holds its rendered JSON.  Exit codes: 0 on
-success, 1 when the report's ``ok`` is false (a mathematical check
-failed), 2 for usage or validation errors, an unwritable ``--out``
-included.
+``tp``'s ``factors`` or ``verify``'s ``euler``.  Each chunk, and each
+text line, is written as it is made, so no command holds its rendered
+output.  Exit codes: 0 on success, 1 when the report's ``ok`` is false
+(a mathematical check failed), 2 for usage or validation errors, an
+unwritable ``--out`` included.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from functools import lru_cache, partial
 from math import inf
 
 from .cyclic_bar import CyclicBar, weight_identity_violations
-from .homology import ZERO_GROUP, chain_complex, homology_groups, verify_weight_piece
-from .tate_tp import nil_invariance_report, relative_tp
+from .homology import ZERO_GROUP, AbelianGroup, chain_complex, homology_groups, verify_weight_piece
+from .tate_tp import _exponent, _require_table, nil_invariance_report
 
 __all__ = ["main", "UsageError"]
 
@@ -259,16 +262,14 @@ def cmd_homology(args):
 
 
 def _homology_lines(tree):
-    lines = []
     for entry in tree["components"]:
-        lines.append(f"weight component k={tree['config']['k']}, i={entry['i']}")
-        lines.append("  degree  basis  homology")
+        yield f"weight component k={tree['config']['k']}, i={entry['i']}"
+        yield "  degree  basis  homology"
         for row in entry["degrees"]:
-            lines.append(
+            yield (
                 f"  {row['degree']:>6} {row['basis_size']:>6}  "
                 f"{row['homology']['name']}"
             )
-    return lines
 
 
 def cmd_verify(args):
@@ -294,88 +295,95 @@ def cmd_verify(args):
 
 def _verify_lines(tree):
     config, euler, identities = tree["config"], tree["euler"], tree["identities"]
-    lines = [f"verify k={config['k']} for weights 1..{config['max_i']}"]
-    lines.append("  sphere-smash closed form:")
+    yield f"verify k={config['k']} for weights 1..{config['max_i']}"
+    yield "  sphere-smash closed form:"
     for e in tree["weight_pieces"]:
         if e["match"]:
             # one group per weight in the closed form: Z twice, or Z/k once
             group = e["degrees"][0]["expected"]["name"]
             degs = ", ".join(str(r["degree"]) for r in e["degrees"])
             shown = f"{group} at degree{'s' * (len(e['degrees']) > 1)} {degs}"
-            lines.append(f"    i={e['i']:>2}: match  ({shown})")
+            yield f"    i={e['i']:>2}: match  ({shown})"
         else:
-            lines.append(f"    i={e['i']:>2}: MISMATCH")
+            yield f"    i={e['i']:>2}: MISMATCH"
             for r in e["degrees"]:
-                lines.append(
+                yield (
                     f"      degree {r['degree']}: computed "
                     f"{r['computed']['name']}, expected {r['expected']['name']}"
                 )
     bad_euler = [e for e in euler if not e["ok"]]
-    lines.append(
+    yield (
         f"  alternating counts: {len(euler)} weights, "
         + ("all zero" if not bad_euler else f"{len(bad_euler)} NONZERO")
     )
-    lines.append(
+    yield (
         f"  operator identities: {identities['simplices_checked']} simplices, "
         f"{len(identities['violations'])} violations"
     )
-    lines.append(f"overall: {'PASS' if tree['ok'] else 'FAIL'}")
-    return lines
+    yield f"overall: {'PASS' if tree['ok'] else 'FAIL'}"
 
 
-def cmd_tp(args):
-    report = relative_tp(args.p, args.k, args.j, args.truncate)
+def _factor_block(p, k):
+    """The ``tp`` factor records of a range of weights, from tate_tp's exponent rule."""
     # order and name depend on the exponent alone, and there are at most
     # log_p(truncate) + 1 distinct exponents
     named = {}
-    for f in report.factors:
-        if f.exponent not in named:
-            named[f.exponent] = f.order, str(f.group)
+
+    def block(weights):
+        records = []
+        for i in weights:
+            e = _exponent(p, k, i)
+            if e not in named:
+                named[e] = p**e, str(AbelianGroup.cyclic(p**e))
+            order, group = named[e]
+            records.append(
+                {"i": i, "k_divides_i": i % k == 0, "exponent": e, "order": order, "group": group}
+            )
+        return records
+
+    return block
+
+
+def cmd_tp(args):
+    """The factor table of degree j, checked now and made only as it is written.
+
+    Every check runs before the report is returned, so nothing can fail
+    once writing has started.  Even degrees have an empty table.
+    """
+    p, k, j, truncate = args.p, args.k, args.j, args.truncate
+    _require_table(p, k, j, truncate)
+    odd = j % 2 == 1
     return {
-        "config": {
-            "p": args.p,
-            "k": args.k,
-            "j": args.j,
-            "truncate": args.truncate,
-        },
-        "parity": "odd" if args.j % 2 else "even",
-        "truncated": report.truncated,
-        "factors": [
-            {
-                "i": f.weight,
-                "k_divides_i": f.multiple_of_k,
-                "exponent": f.exponent,
-                "order": named[f.exponent][0],
-                "group": named[f.exponent][1],
-            }
-            for f in report.factors
-        ],
-        "verdicts": _verdict_node(report.verdicts),
+        "config": {"p": p, "k": k, "j": j, "truncate": truncate},
+        "parity": "odd" if odd else "even",
+        "truncated": odd,
+        "factors": _RecordTable(range(1, truncate + 1) if odd else range(0), _factor_block(p, k)),
+        "verdicts": _verdict_node(nil_invariance_report(p, k)),
     }
 
 
 def _tp_lines(tree):
     config = tree["config"]
-    lines = [
+    yield (
         f"relative periodic theory for p={config['p']}, k={config['k']}, "
         f"degree j={config['j']}"
-    ]
+    )
     if tree["factors"]:
-        lines.append("  weight  k|i  factor")
-        for f in tree["factors"]:
-            lines.append(
-                f"  {f['i']:>6}  {'yes' if f['k_divides_i'] else ' no'}  "
-                f"{f['group']} (exponent {f['exponent']})"
-            )
-        lines.append(
+        yield "  weight  k|i  factor"
+        for block in tree["factors"]:
+            for f in block:
+                yield (
+                    f"  {f['i']:>6}  {'yes' if f['k_divides_i'] else ' no'}  "
+                    f"{f['group']} (exponent {f['exponent']})"
+                )
+        yield (
             f"  truncated at weight {config['truncate']}; higher weights follow the "
             "same two-case exponent rule"
         )
     else:
-        lines.append("  the group vanishes in even degrees (no factors)")
-    lines.append("verdicts:")
-    lines.extend(_verdict_lines(tree["verdicts"]))
-    return lines
+        yield "  the group vanishes in even degrees (no factors)"
+    yield "verdicts:"
+    yield from _verdict_lines(tree["verdicts"])
 
 
 def cmd_verdict(args):
@@ -387,10 +395,8 @@ def cmd_verdict(args):
 
 def _verdict_report_lines(tree):
     config = tree["config"]
-    return [
-        f"nil-invariance verdicts for p={config['p']}, k={config['k']}",
-        *_verdict_lines(tree["verdicts"]),
-    ]
+    yield f"nil-invariance verdicts for p={config['p']}, k={config['k']}"
+    yield from _verdict_lines(tree["verdicts"])
 
 
 SELFTEST_K = (2, 3, 4)
@@ -447,12 +453,9 @@ def cmd_selftest(args):
 
 
 def _selftest_lines(tree):
-    lines = [
-        f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']} ({r['detail']})"
-        for r in tree["checks"]
-    ]
-    lines.append(f"selftest: {'all checks passed' if tree['ok'] else 'CHECKS FAILED'}")
-    return lines
+    for r in tree["checks"]:
+        yield f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']} ({r['detail']})"
+    yield f"selftest: {'all checks passed' if tree['ok'] else 'CHECKS FAILED'}"
 
 
 # exact types: a subclass, or anything else, takes the recursive route,
@@ -476,11 +479,32 @@ def _flat_encoder(depth):
 _RECORD_BLOCK = 1024
 
 
-def _record_blocks(records, depth):
+class _RecordTable:
+    """A record table made one block of records at a time, as it is read.
+
+    Iterating yields ``block(keys)`` for each run of ``_RECORD_BLOCK``
+    consecutive ``keys``, a list of the records for those keys, so the
+    whole table never exists at once.
+    """
+
+    def __init__(self, keys, block):
+        self.keys, self.block = keys, block
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        for start in range(0, len(self.keys), _RECORD_BLOCK):
+            yield self.block(self.keys[start:start + _RECORD_BLOCK])
+
+
+def _record_blocks(blocks, depth):
     """The items of a record table at ``depth``, one chunk per block of records.
 
-    A record table is a list of nonempty dicts of scalars.  The block's
-    encoder puts each record's keys at ``depth + 2``, so only the
+    A record table is a sequence of nonempty dicts of scalars, given here
+    as its blocks: nonempty lists of at most ``_RECORD_BLOCK`` records,
+    from a ``_RecordTable`` or as slices of a list.  The block's encoder
+    puts each record's keys at ``depth + 2``, so only the
     boundaries between records need the outer indent.  The C encoder
     escapes every newline inside a string, so a raw newline comes from a
     separator.  Inside a record, the character before a separator ends a
@@ -492,12 +516,10 @@ def _record_blocks(records, depth):
     inner = outer + "  "
     encode = _flat_encoder(depth + 1)
     boundary, fixed = "}," + inner + "{", outer + "}," + outer + "{" + inner
-    for start in range(0, len(records), _RECORD_BLOCK):
-        yield (
-            ("," + outer if start else "") + "{" + inner
-            + encode(records[start:start + _RECORD_BLOCK])[2:-2].replace(boundary, fixed)
-            + outer + "}"
-        )
+    lead = ""
+    for block in blocks:
+        yield lead + "{" + inner + encode(block)[2:-2].replace(boundary, fixed) + outer + "}"
+        lead = "," + outer
 
 
 def _json_chunks(node, depth=0):
@@ -506,8 +528,9 @@ def _json_chunks(node, depth=0):
     ``node`` is a tree of dicts with text keys, lists and JSON scalars,
     rendered as if it sat ``depth`` levels deep.  A container of scalars
     is one call of a cached C encoder, yielded between its indented
-    brackets.  A record table yields one chunk per block of records
-    (``_record_blocks``).  Other containers recurse.  So no chunk is much
+    brackets.  A record table, a list of flat dicts or a ``_RecordTable``
+    made block by block as it is read, yields one chunk per block of
+    records (``_record_blocks``).  Other containers recurse.  So no chunk is much
     longer than a block, and the caller writes each one as it comes
     without ever holding the whole text.  The pure-Python encoder that
     ``indent`` selects is slower and, for a large tree, holds one small
@@ -515,7 +538,7 @@ def _json_chunks(node, depth=0):
     """
     if isinstance(node, dict):
         values, brackets = node.values(), "{}"
-    elif isinstance(node, (list, tuple)):
+    elif isinstance(node, (list, tuple, _RecordTable)):
         values, brackets = node, "[]"
     else:
         yield json.dumps(node)
@@ -525,12 +548,15 @@ def _json_chunks(node, depth=0):
         return
     pad = "\n" + "  " * (depth + 1)
     yield brackets[0] + pad
-    if all(type(v) in _SCALARS for v in values):
+    if type(node) is _RecordTable:
+        yield from _record_blocks(node, depth)
+    elif all(type(v) in _SCALARS for v in values):
         yield _flat_encoder(depth)(node)[1:-1]
     elif type(node) is list and all(
         type(r) is dict and r and _SCALARS.issuperset(map(type, r.values())) for r in node
     ):
-        yield from _record_blocks(node, depth)
+        slices = (node[s:s + _RECORD_BLOCK] for s in range(0, len(node), _RECORD_BLOCK))
+        yield from _record_blocks(slices, depth)
     elif isinstance(node, dict):
         for n, key in enumerate(sorted(node)):
             yield ("," + pad if n else "") + json.dumps(key) + ": "
@@ -544,12 +570,16 @@ def _json_chunks(node, depth=0):
 
 
 def _write_report(out, args, report):
-    """Render ``report`` in the format asked for, writing it to ``out`` as it is made."""
+    """Render ``report`` in the format asked for, writing it to ``out`` as it is made.
+
+    JSON goes out chunk by chunk, text line by line.
+    """
     if args.fmt == "json":
         out.writelines(_json_chunks({"tool": "cycbar", "command": args.command, **report}))
+        out.write("\n")
     else:
-        out.write("\n".join(args.lines(report)))
-    out.write("\n")
+        for line in args.lines(report):
+            out.write(line + "\n")
 
 
 def main(argv=None):

@@ -153,10 +153,17 @@ class CyclicFactor:
         return str(self.group)
 
 
+def _exponent(p, k, i):
+    """Exponent of weight i's odd-degree factor: v_p(i), or v_p(k) when k | i.
+
+    The one home of the two-case rule; arguments already checked.
+    """
+    return _valuation(p, k if i % k == 0 else i)
+
+
 def _factor(p, k, i, j):
     """Weight i's degree-j factor, for arguments already checked."""
-    exponent = _valuation(p, k if i % k == 0 else i) if j % 2 == 1 else 0
-    return CyclicFactor(p, i, exponent, i % k == 0)
+    return CyclicFactor(p, i, _exponent(p, k, i) if j % 2 == 1 else 0, i % k == 0)
 
 
 def weight_piece_tp(p, k, i, j):
@@ -217,13 +224,18 @@ class TPReport:
     verdicts: NilInvariance
 
 
-def relative_tp(p, k, j, truncation):
-    """Tabulate the degree-j relative periodic theory through weight `truncation`."""
+def _require_table(p, k, j, truncation):
+    """Refuse a bad (p, k, j, truncation) in a fixed order: prime, order, degree, truncation."""
     _require_prime(p)
     _require_order(k)
     _require_degree(j)
     if not _is_integer(truncation) or truncation < 1:
         raise ValueError(f"truncation must be a positive integer, got {truncation!r}")
+
+
+def relative_tp(p, k, j, truncation):
+    """Tabulate the degree-j relative periodic theory through weight `truncation`."""
+    _require_table(p, k, j, truncation)
     if j % 2 == 1:
         factors = tuple(_factor(p, k, i, j) for i in range(1, truncation + 1))
         truncated = True
@@ -266,6 +278,6 @@ def nil_invariance_report(p, k):
         integral_iso=False,
         p_inverted_iso=sup is not inf,
         witness_weight=witness,
-        witness_exponent=_factor(p, k, witness, 1).exponent,
+        witness_exponent=_exponent(p, k, witness),
         exponent_sup=sup,
     )

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import cycbar.cli
 import cycbar.homology
+import cycbar.tate_tp as tate_tp
 from cycbar.cli import UsageError, _parse_weight_range, _worker_count, main
 from cycbar.cyclic_bar import CyclicBar, WeightComponent
 from cycbar.homology import ChainComplex
+from cycbar.tate_tp import relative_tp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -346,6 +350,134 @@ def test_tp_json_is_written_in_chunks(monkeypatch):
     for sizes in (list(map(len, chunks)), stdout.sizes):
         assert len(sizes) >= 20
         assert max(sizes) <= 256 * 1024
+
+
+def _tp_argv(p, k, j, truncate, fmt):
+    return ["tp", "--p", str(p), "--k", str(k), "--j", str(j), "--truncate", str(truncate), "--format", fmt]
+
+
+def _reference_tp_tree(p, k, j, truncate):
+    """The ``tp`` report tree as the CLI once built it, from ``relative_tp``'s factors."""
+    report = relative_tp(p, k, j, truncate)
+    v = report.verdicts
+    return {
+        "tool": "cycbar",
+        "command": "tp",
+        "config": {"p": p, "k": k, "j": j, "truncate": truncate},
+        "parity": "odd" if j % 2 else "even",
+        "truncated": report.truncated,
+        "factors": [
+            {
+                "i": f.weight,
+                "k_divides_i": f.multiple_of_k,
+                "exponent": f.exponent,
+                "order": f.order,
+                "group": str(f.group),
+            }
+            for f in report.factors
+        ],
+        "verdicts": {
+            "p": v.p,
+            "k": v.k,
+            "integral_iso": v.integral_iso,
+            "p_inverted_iso": v.p_inverted_iso,
+            "witness_weight": v.witness_weight,
+            "witness_exponent": v.witness_exponent,
+            "exponent_sup": "infinity" if v.exponent_sup is math.inf else v.exponent_sup,
+            "remark": v.remark,
+        },
+    }
+
+
+def _reference_tp_text(tree):
+    """The ``tp`` text report, made from a reference tree in one string."""
+    config, v = tree["config"], tree["verdicts"]
+    yes_no = {True: "yes", False: "no"}
+    lines = [f"relative periodic theory for p={config['p']}, k={config['k']}, degree j={config['j']}"]
+    if tree["factors"]:
+        lines.append("  weight  k|i  factor")
+        lines += [
+            f"  {f['i']:>6}  {'yes' if f['k_divides_i'] else ' no'}  {f['group']} (exponent {f['exponent']})"
+            for f in tree["factors"]
+        ]
+        lines.append(
+            f"  truncated at weight {config['truncate']}; higher weights follow the "
+            "same two-case exponent rule"
+        )
+    else:
+        lines.append("  the group vanishes in even degrees (no factors)")
+    lines += [
+        "verdicts:",
+        f"  integral isomorphism:  {yes_no[v['integral_iso']]} (weight {v['witness_weight']} "
+        f"contributes Z/{v['p']}^{v['witness_exponent']})",
+        f"  after inverting p:     {yes_no[v['p_inverted_iso']]}",
+        f"  exponent supremum:     {v['exponent_sup']}",
+        f"  remark: {v['remark']}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 999999999989])
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 9, 12])
+def test_tp_matches_relative_tp(capsys, p, k):
+    # every degree parity, and truncations at the edges of a block of records
+    for j in (-1, 0, 1, 2, 3):
+        for truncate in (1, 1023, 1024, 1025, 2049):
+            tree = _reference_tp_tree(p, k, j, truncate)
+            want = {
+                "json": json.dumps(tree, indent=2, sort_keys=True) + "\n",
+                "text": _reference_tp_text(tree),
+            }
+            for fmt, text in want.items():
+                assert run(capsys, *_tp_argv(p, k, j, truncate, fmt)) == (0, text, "")
+
+
+def test_tp_text_is_written_line_by_line(monkeypatch):
+    # the text twin of the JSON check above: no write holds the table
+    stdout = _Writes()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(_tp_argv(2, 6, 1, 20000, "text")) == 0
+    assert stdout.getvalue() == _reference_tp_text(_reference_tp_tree(2, 6, 1, 20000))
+    assert len(stdout.sizes) >= 20
+    assert max(stdout.sizes) <= 256 * 1024
+
+
+def test_tp_builds_no_factor_per_weight(capsys, monkeypatch):
+    # the CLI makes the table from the exponent rule, not from one
+    # CyclicFactor per weight, so the count does not grow with --truncate
+    unpatched = {
+        (fmt, t): run(capsys, *_tp_argv(2, 6, 1, t, fmt)) for fmt in ("text", "json") for t in (10, 5000)
+    }
+    built = []
+
+    class Counted(tate_tp.CyclicFactor):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tate_tp, "CyclicFactor", Counted)
+    assert {type(f) for f in relative_tp(2, 6, 1, 10).factors} == {Counted}
+    for fmt in ("text", "json"):
+        counts = []
+        for t in (10, 5000):
+            before = len(built)
+            assert run(capsys, *_tp_argv(2, 6, 1, t, fmt)) == unpatched[fmt, t]
+            counts.append(len(built) - before)
+        assert counts[0] == counts[1]
+
+
+def test_tp_table_memory_does_not_hold_the_table(monkeypatch):
+    # the 100k-factor table as objects and dicts took ~29 MB; a block of
+    # records and its encoded chunk take about 1 MB
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(_tp_argv(2, 6, 1, 100000, "json")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
