@@ -14,21 +14,19 @@ Commands:
 Each handler checks its input and computes its report once, as a JSON
 tree, and prints nothing; a text generator bound beside it yields the
 text lines from the finished tree.  ``tp``'s ``factors`` is the one
-part left unmade: a ``_RecordTable`` that makes its records from the
+part left unmade: a ``_FactorTable`` that makes its records from the
 exponent rule 1,024 weights at a time while they are written, so no
 command holds the table.  ``main`` adds the ``tool`` and ``command``
 fields, renders only the format asked for, writes it to stdout or
 ``--out`` (opened only once the report is ready), and picks the exit
 code.  ``--format json`` prints the bytes of
-``json.dumps(tree, indent=2, sort_keys=True)`` (stable field names,
-sorted keys, so identical inputs give identical bytes), made by
-``_json_chunks`` through the C encoder: one call per container of
-scalars, and one per block of records for a record table such as
-``tp``'s ``factors`` or ``verify``'s ``euler``.  Each chunk, and each
-text line, is written as it is made, so no command holds its rendered
-output.  Exit codes: 0 on success, 1 when the report's ``ok`` is false
-(a mathematical check failed), 2 for usage or validation errors, an
-unwritable ``--out`` included.
+``json.dumps(tree, indent=2, sort_keys=True)`` (sorted keys, so
+identical inputs give identical bytes): one ``json.dumps`` call per
+top-level value, and one C encoder call per block of ``tp``'s records.
+Each chunk, and each text line, is written as it is made.  Exit codes:
+0 on success, 1 when the report's ``ok`` is false (a mathematical check
+failed), 2 for usage or validation errors, and for a failed write to
+stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -37,7 +35,8 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache, partial
+from functools import partial
+from itertools import chain
 from math import inf
 
 from .cyclic_bar import CyclicBar, weight_identity_violations
@@ -323,25 +322,38 @@ def _verify_lines(tree):
     yield f"overall: {'PASS' if tree['ok'] else 'FAIL'}"
 
 
-def _factor_block(p, k):
-    """The ``tp`` factor records of a range of weights, from tate_tp's exponent rule."""
-    # order and name depend on the exponent alone, and there are at most
-    # log_p(truncate) + 1 distinct exponents
-    named = {}
+# records per encoder call: one call for a whole 100k-record table is no
+# faster, and its output string raises the peak memory
+_RECORD_BLOCK = 1024
 
-    def block(weights):
-        records = []
-        for i in weights:
-            e = _exponent(p, k, i)
-            if e not in named:
-                named[e] = p**e, str(AbelianGroup.cyclic(p**e))
-            order, group = named[e]
-            records.append(
-                {"i": i, "k_divides_i": i % k == 0, "exponent": e, "order": order, "group": group}
-            )
-        return records
 
-    return block
+class _FactorTable:
+    """``tp``'s factor table of an odd degree, made as it is read.
+
+    Iterating yields the records of weights 1..truncate from tate_tp's
+    exponent rule, one list per ``_RECORD_BLOCK`` weights, so the whole
+    table never exists at once.
+    """
+
+    def __init__(self, p, k, truncate):
+        self.p, self.k, self.truncate = p, k, truncate
+
+    def __iter__(self):
+        p, k, stop = self.p, self.k, self.truncate + 1
+        # order and name depend on the exponent alone, and there are at most
+        # log_p(truncate) + 1 distinct exponents
+        named = {}
+        for start in range(1, stop, _RECORD_BLOCK):
+            records = []
+            for i in range(start, min(start + _RECORD_BLOCK, stop)):
+                e = _exponent(p, k, i)
+                if e not in named:
+                    named[e] = p**e, str(AbelianGroup.cyclic(p**e))
+                order, group = named[e]
+                records.append(
+                    {"i": i, "k_divides_i": i % k == 0, "exponent": e, "order": order, "group": group}
+                )
+            yield records
 
 
 def cmd_tp(args):
@@ -357,7 +369,7 @@ def cmd_tp(args):
         "config": {"p": p, "k": k, "j": j, "truncate": truncate},
         "parity": "odd" if odd else "even",
         "truncated": odd,
-        "factors": _RecordTable(range(1, truncate + 1) if odd else range(0), _factor_block(p, k)),
+        "factors": _FactorTable(p, k, truncate) if odd else [],
         "verdicts": _verdict_node(nil_invariance_report(p, k)),
     }
 
@@ -458,128 +470,81 @@ def _selftest_lines(tree):
     yield f"selftest: {'all checks passed' if tree['ok'] else 'CHECKS FAILED'}"
 
 
-# exact types: a subclass, or anything else, takes the recursive route,
-# which is right for every input, only slower
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+# a record's items sit at depth 3 of the report; the newline and their
+# indent live in the item separator, and indent stays None, so the stdlib
+# picks its C encoder
+_encode_records = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
 
 
-@lru_cache(maxsize=None)
-def _flat_encoder(depth):
-    """Encoder for a container of scalars whose items sit at ``depth + 1``.
+def _record_blocks(blocks):
+    """The items of a report value that is a list of records, one chunk per block.
 
-    The newline and the items' indent live in the item separator, and
-    ``indent`` stays None, so the stdlib picks its C encoder.
+    ``blocks`` are nonempty lists of nonempty dicts of scalars.  The
+    encoder puts each record's keys at depth 3, so only the boundaries
+    between records need the list's indent.  The C encoder escapes every
+    newline inside a string, so a raw newline comes from a separator.
+    Inside a record, the character before a separator ends a scalar and
+    the one after it opens a key, so ``},`` + separator + ``{`` is exactly
+    a boundary between two records.  Every chunk but the first starts
+    with the separator from the block before it.
     """
-    pad = "\n" + "  " * (depth + 1)
-    return json.JSONEncoder(sort_keys=True, separators=("," + pad, ": ")).encode
-
-
-# records per encoder call: one call for a whole 100k-record table is no
-# faster, and its output string raises the peak memory
-_RECORD_BLOCK = 1024
-
-
-class _RecordTable:
-    """A record table made one block of records at a time, as it is read.
-
-    Iterating yields ``block(keys)`` for each run of ``_RECORD_BLOCK``
-    consecutive ``keys``, a list of the records for those keys, so the
-    whole table never exists at once.
-    """
-
-    def __init__(self, keys, block):
-        self.keys, self.block = keys, block
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __iter__(self):
-        for start in range(0, len(self.keys), _RECORD_BLOCK):
-            yield self.block(self.keys[start:start + _RECORD_BLOCK])
-
-
-def _record_blocks(blocks, depth):
-    """The items of a record table at ``depth``, one chunk per block of records.
-
-    A record table is a sequence of nonempty dicts of scalars, given here
-    as its blocks: nonempty lists of at most ``_RECORD_BLOCK`` records,
-    from a ``_RecordTable`` or as slices of a list.  The block's encoder
-    puts each record's keys at ``depth + 2``, so only the
-    boundaries between records need the outer indent.  The C encoder
-    escapes every newline inside a string, so a raw newline comes from a
-    separator.  Inside a record, the character before a separator ends a
-    scalar and the one after it opens a key, so ``},`` + inner + ``{`` is
-    exactly a boundary between two records.  Every chunk but the first
-    starts with the separator from the block before it.
-    """
-    outer = "\n" + "  " * (depth + 1)
-    inner = outer + "  "
-    encode = _flat_encoder(depth + 1)
-    boundary, fixed = "}," + inner + "{", outer + "}," + outer + "{" + inner
+    boundary, fixed = "},\n      {", "\n    },\n    {\n      "
     lead = ""
     for block in blocks:
-        yield lead + "{" + inner + encode(block)[2:-2].replace(boundary, fixed) + outer + "}"
-        lead = "," + outer
+        # made inside the yield, so no local holds this text while the next block is made
+        yield lead + "{\n      " + _encode_records(block)[2:-2].replace(boundary, fixed) + "\n    }"
+        lead = ",\n    "
 
 
-def _json_chunks(node, depth=0):
-    """``json.dumps(node, indent=2, sort_keys=True)``, byte for byte, in chunks.
+def _json_chunks(report):
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, in chunks.
 
-    ``node`` is a tree of dicts with text keys, lists and JSON scalars,
-    rendered as if it sat ``depth`` levels deep.  A container of scalars
-    is one call of a cached C encoder, yielded between its indented
-    brackets.  A record table, a list of flat dicts or a ``_RecordTable``
-    made block by block as it is read, yields one chunk per block of
-    records (``_record_blocks``).  Other containers recurse.  So no chunk is much
-    longer than a block, and the caller writes each one as it comes
-    without ever holding the whole text.  The pure-Python encoder that
-    ``indent`` selects is slower and, for a large tree, holds one small
-    chunk string per token until it joins them.
+    ``report`` is a nonempty dict with text keys.  Each value is one
+    ``json.dumps`` call, moved one level in: the encoder escapes every
+    newline inside a string, so each raw newline starts a line.  A
+    ``_FactorTable`` goes out one block of records at a time, so no chunk
+    holds ``tp``'s table.
     """
-    if isinstance(node, dict):
-        values, brackets = node.values(), "{}"
-    elif isinstance(node, (list, tuple, _RecordTable)):
-        values, brackets = node, "[]"
-    else:
-        yield json.dumps(node)
-        return
-    if not node:
-        yield brackets
-        return
-    pad = "\n" + "  " * (depth + 1)
-    yield brackets[0] + pad
-    if type(node) is _RecordTable:
-        yield from _record_blocks(node, depth)
-    elif all(type(v) in _SCALARS for v in values):
-        yield _flat_encoder(depth)(node)[1:-1]
-    elif type(node) is list and all(
-        type(r) is dict and r and _SCALARS.issuperset(map(type, r.values())) for r in node
-    ):
-        slices = (node[s:s + _RECORD_BLOCK] for s in range(0, len(node), _RECORD_BLOCK))
-        yield from _record_blocks(slices, depth)
-    elif isinstance(node, dict):
-        for n, key in enumerate(sorted(node)):
-            yield ("," + pad if n else "") + json.dumps(key) + ": "
-            yield from _json_chunks(node[key], depth + 1)
-    else:
-        for n, v in enumerate(node):
-            if n:
-                yield "," + pad
-            yield from _json_chunks(v, depth + 1)
-    yield pad[:-2] + brackets[1]
+    lead = "{\n  "
+    for key in sorted(report):
+        value = report[key]
+        yield lead + json.dumps(key) + ": "
+        if type(value) is _FactorTable:
+            yield "[\n    "
+            yield from _record_blocks(value)
+            yield "\n  ]"
+        else:
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        lead = ",\n  "
+    yield "\n}"
 
 
-def _write_report(out, args, report):
-    """Render ``report`` in the format asked for, writing it to ``out`` as it is made.
+def _write_report(args, report):
+    """Render ``report`` in the format asked for, writing it to stdout or ``--out`` as it is made.
 
-    JSON goes out chunk by chunk, text line by line.
+    JSON goes out chunk by chunk, text line by line.  A failed write or
+    flush on either output is a ``UsageError``.
     """
     if args.fmt == "json":
-        out.writelines(_json_chunks({"tool": "cycbar", "command": args.command, **report}))
-        out.write("\n")
+        chunks = chain(_json_chunks({"tool": "cycbar", "command": args.command, **report}), ["\n"])
     else:
-        for line in args.lines(report):
-            out.write(line + "\n")
+        chunks = (line + "\n" for line in args.lines(report))
+    try:
+        if args.out:
+            # opened only now, so a refused run leaves an existing file as it was
+            with open(args.out, "w") as out:
+                out.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # the interpreter flushes stdout again at exit; pointing the
+            # descriptor at devnull keeps that flush from failing too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise UsageError(f"cannot write {'--out' if args.out else 'stdout'}: {exc}") from None
 
 
 def main(argv=None):
@@ -587,15 +552,7 @@ def main(argv=None):
     try:
         _check_args(args)
         report = args.handler(args)
-        if args.out:
-            # opened only now, so a refused run leaves an existing file as it was
-            try:
-                with open(args.out, "w") as out:
-                    _write_report(out, args, report)
-            except OSError as exc:
-                raise UsageError(f"cannot write --out: {exc}") from None
-        else:
-            _write_report(sys.stdout, args, report)
+        _write_report(args, report)
     except ValueError as exc:
         # UsageError and validation errors from the library both land here
         print(f"error: {exc}", file=sys.stderr)

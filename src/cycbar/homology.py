@@ -54,13 +54,13 @@ class AbelianGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        if not _is_integer(self.rank) or self.rank < 0:
+            raise ValueError(f"rank must be a nonnegative integer, got {self.rank!r}")
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         prev = None
         for d in self.torsion:
-            if d < 2:
-                raise ValueError(f"torsion order {d} is not >= 2")
+            if not _is_integer(d) or d < 2:
+                raise ValueError(f"torsion order {d!r} is not an integer >= 2")
             if prev is not None and d % prev:
                 raise ValueError(f"torsion orders {prev}, {d} break divisibility")
             prev = d
@@ -72,8 +72,8 @@ class AbelianGroup:
     @classmethod
     def cyclic(cls, order):
         """Z/order; order 1 gives the trivial group."""
-        if order < 1:
-            raise ValueError("cyclic order must be >= 1")
+        if not _is_integer(order) or order < 1:
+            raise ValueError(f"cyclic order must be an integer >= 1, got {order!r}")
         return cls(0, ()) if order == 1 else cls(0, (order,))
 
     @property
@@ -111,9 +111,9 @@ def _xgcd(a, b):
 def smith_normal_form(matrix):
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Input is a list of equal-length rows; the result has min(rows, cols)
-    entries: the invariant factors d_1 | d_2 | ..., nonnegative, followed
-    by zeros.  The input is not modified.
+    Input is a list of equal-length rows of ints (not bools); the result
+    has min(rows, cols) entries: the invariant factors d_1 | d_2 | ...,
+    nonnegative, followed by zeros.  The input is not modified.
 
     Diagonalization repeatedly moves a nonzero entry of minimal absolute
     value to the pivot position (a +-1 short-circuits the search) and
@@ -122,11 +122,14 @@ def smith_normal_form(matrix):
     latter can refill the column, so the two sweeps alternate until
     stable.  A final gcd/lcm pass on the diagonal enforces divisibility.
     """
-    rows = [[int(v) for v in row] for row in matrix]
+    rows = [list(row) for row in matrix]
     m = len(rows)
     n = len(rows[0]) if m else 0
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix rows must all have the same length")
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix rows must all have the same length")
+        if not all(map(_is_integer, row)):
+            raise ValueError(f"matrix entries must be integers, got row {row!r}")
     size = min(m, n)
     t = 0
     while t < size:

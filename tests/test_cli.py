@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -219,10 +221,6 @@ def test_tp_json_factors(capsys):
     ]
 
 
-def _json_text(tree):
-    return "".join(cycbar.cli._json_chunks(tree))
-
-
 _JSON_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -243,9 +241,10 @@ _JSON_TREES = st.recursive(
 
 
 @settings(deadline=None, max_examples=300)
-@given(_JSON_TREES)
-def test_json_text_is_json_dumps(tree):
-    assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+@given(st.dictionaries(st.text(), _JSON_TREES, min_size=1, max_size=4))
+def test_json_text_is_json_dumps(report):
+    text = "".join(cycbar.cli._json_chunks(report))
+    assert text == json.dumps(report, indent=2, sort_keys=True)
 
 
 def _records(n, strings=("Z/2",)):
@@ -255,66 +254,39 @@ def _records(n, strings=("Z/2",)):
     ]
 
 
-def _assert_json_text(records):
-    # at depth 0, and one level down beside another key
-    for tree in (records, {"factors": records, "k": 3}):
-        assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+def _assert_record_blocks(records):
+    # the records as the value of a top-level key, in blocks of at most 1,024
+    blocks = [records[s:s + 1024] for s in range(0, len(records), 1024)]
+    text = '{\n  "factors": [\n    ' + "".join(cycbar.cli._record_blocks(blocks)) + "\n  ]\n}"
+    assert text == json.dumps({"factors": records}, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
 def test_json_text_record_tables(n):
-    _assert_json_text(_records(n))
+    _assert_record_blocks(_records(n))
 
 
 def test_json_text_record_strings():
     # a string that looks like the boundary between two records, brackets,
     # escapes and non-ASCII text, as values and as keys
     strings = [
-        "},\n    {", "}", "{", "},", "}, {", '"\\/\b\f\n\r\t', "\u2028\x00\x7f", "Z/2 é 𝔽_p ✓",
+        "},\n    {", "},\n      {", "}", "{", "},", "}, {", '"\\/\b\f\n\r\t', "\u2028\x00\x7f",
+        "Z/2 é 𝔽_p ✓",
     ]
     records = _records(2100, strings)
     for r in records:
         r[r["s"]] = r["s"]
-    _assert_json_text(records)
-    _assert_json_text([{"}": "}"}, {"{": "{"}, {"z": "},\n    {"}])
+    _assert_record_blocks(records)
+    _assert_record_blocks([{"}": "}"}, {"{": "{"}, {"z": "},\n    {"}])
 
 
-class _Record(dict):
-    pass
-
-
-def test_json_text_records_fall_back():
-    records = _records(2000)
-    shapes = [
-        records[:500] + [{}] + records[500:],
-        records[:-1] + [{**records[-1], "l": [1, {"a": 2}]}],
-        [_Record(r) for r in records],
-        records[:1000] + [_Record(records[1000])] + records[1001:],
-        tuple(records),
-    ]
-    for tree in shapes:
-        _assert_json_text(tree)
-
-
-def test_json_text_encodes_records_in_blocks(monkeypatch):
-    # records per encoder call; blocks bound the size of each encoded string
-    sizes = []
-    flat_encoder = cycbar.cli._flat_encoder
-
-    def counted(depth):
-        encode = flat_encoder(depth)
-
-        def counting(node):
-            sizes.append(len(node))
-            return encode(node)
-
-        return counting
-
-    monkeypatch.setattr(cycbar.cli, "_flat_encoder", counted)
-    records = _records(5000)
-    assert _json_text(records) == json.dumps(records, indent=2, sort_keys=True)
-    assert len(sizes) <= math.ceil(5000 / 1024)
-    assert sum(sizes) == 5000 and max(sizes) <= 1024
+def test_json_text_encodes_records_in_blocks():
+    # blocks bound the size of each encoded string
+    for truncate in (1, 1024, 1025, 5000):
+        blocks = list(cycbar.cli._FactorTable(2, 6, truncate))
+        assert len(blocks) == math.ceil(truncate / 1024)
+        assert max(map(len, blocks)) <= 1024
+        assert [r["i"] for block in blocks for r in block] == list(range(1, truncate + 1))
 
 
 def test_tp_json_bytes_are_json_dumps(capsys):
@@ -344,12 +316,9 @@ def test_tp_json_is_written_in_chunks(monkeypatch):
     monkeypatch.setattr("sys.stdout", stdout)
     assert main(argv) == 0
     out = stdout.getvalue()
-    tree = json.loads(out)
-    chunks = list(cycbar.cli._json_chunks(tree))
-    assert "".join(chunks) + "\n" == out == json.dumps(tree, indent=2, sort_keys=True) + "\n"
-    for sizes in (list(map(len, chunks)), stdout.sizes):
-        assert len(sizes) >= 20
-        assert max(sizes) <= 256 * 1024
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert len(stdout.sizes) >= 20
+    assert max(stdout.sizes) <= 256 * 1024
 
 
 def _tp_argv(p, k, j, truncate, fmt):
@@ -718,6 +687,32 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _cli_process(argv, stdout):
+    return subprocess.Popen(
+        [sys.executable, "-m", "cycbar.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+def test_closed_stdout_exits_2():
+    # `cycbar tp ... | head -n 2`: the pipe closes long before the table ends
+    proc = _cli_process(_tp_argv(2, 6, 1, 100000, "text"), subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"relative periodic theory")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_full_stdout_exits_2(fmt):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["verdict", "--p", "2", "--k", "4", "--format", fmt], full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == b"error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_unknown_command_exits_2():

@@ -87,6 +87,12 @@ def test_snf_rejects_ragged_input():
         smith_normal_form([[1, 2], [3]])
 
 
+def test_snf_rejects_non_integers():
+    for entry in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="integers"):
+            smith_normal_form([[entry, 0], [0, 3]])
+
+
 def test_snf_leaves_input_alone():
     a = [[2, 4], [6, 8]]
     smith_normal_form(a)
@@ -156,6 +162,19 @@ def test_abelian_group_canonical_form_enforced():
         AbelianGroup(-1)
     assert AbelianGroup.cyclic(1) == ZERO_GROUP
     assert AbelianGroup.cyclic(8) == AbelianGroup(0, (8,))
+
+
+def test_abelian_group_refuses_non_integers():
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            AbelianGroup(bad)
+        with pytest.raises(ValueError, match="integer"):
+            AbelianGroup(0, (bad,))
+        with pytest.raises(ValueError, match="integer"):
+            AbelianGroup.cyclic(bad)
+    with pytest.raises(ValueError, match="integer"):
+        AbelianGroup(0, (2, 4.0))
+    assert AbelianGroup(0, [2, 4]).torsion == (2, 4)
 
 
 # --- chain complexes of weight components ---------------------------------
