@@ -22,11 +22,12 @@ fields, renders only the format asked for, writes it to stdout or
 code.  ``--format json`` prints the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` (sorted keys, so
 identical inputs give identical bytes): one ``json.dumps`` call per
-top-level value, and one C encoder call per block of ``tp``'s records.
-Each chunk, and each text line, is written as it is made.  Exit codes:
-0 on success, 1 when the report's ``ok`` is false (a mathematical check
-failed), 2 for usage or validation errors, and for a failed write to
-stdout or ``--out``.
+top-level value, and one per shape ``(exponent, k | i)`` of ``tp``'s
+records, whose text each record of that shape repeats around its weight
+in both formats.  Each chunk of 1,024 records, and each text line, is
+written as it is made.  Exit codes: 0 on success, 1 when the report's
+``ok`` is false (a mathematical check failed), 2 for usage or
+validation errors, and for a failed write to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -322,38 +323,46 @@ def _verify_lines(tree):
     yield f"overall: {'PASS' if tree['ok'] else 'FAIL'}"
 
 
-# records per encoder call: one call for a whole 100k-record table is no
-# faster, and its output string raises the peak memory
+# weights per chunk: one chunk for the whole table would be a string of
+# ~12 MB at --truncate 100000
 _RECORD_BLOCK = 1024
 
 
 class _FactorTable:
     """``tp``'s factor table of an odd degree, made as it is read.
 
-    Iterating yields the records of weights 1..truncate from tate_tp's
-    exponent rule, one list per ``_RECORD_BLOCK`` weights, so the whole
-    table never exists at once.
+    Iterating yields weights 1..truncate from tate_tp's exponent rule,
+    one list of ``(i, shape)`` pairs per ``_RECORD_BLOCK`` weights, so the
+    whole table never exists at once.  A record differs from the others
+    of its shape ``(exponent, k | i)`` only in its weight, and a table has
+    at most 2 * (log_p(truncate) + 1) shapes.  A shape is made once, at
+    its first weight: the record's JSON before and after the weight's
+    value, and the text row after the weight.
     """
 
     def __init__(self, p, k, truncate):
         self.p, self.k, self.truncate = p, k, truncate
 
+    def _shape(self, e, divides):
+        order = self.p**e
+        group = str(AbelianGroup.cyclic(order))
+        record = {"i": 0, "k_divides_i": divides, "exponent": e, "order": order, "group": group}
+        # a record sits at depth 2 of the report; '"i": 0' occurs once, as
+        # the weight's item, since a string value escapes its quotes
+        head, tail = json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n    ").split('"i": 0')
+        return head + '"i": ', tail, f"  {'yes' if divides else ' no'}  {group} (exponent {e})"
+
     def __iter__(self):
         p, k, stop = self.p, self.k, self.truncate + 1
-        # order and name depend on the exponent alone, and there are at most
-        # log_p(truncate) + 1 distinct exponents
-        named = {}
+        shapes = {}
         for start in range(1, stop, _RECORD_BLOCK):
-            records = []
+            block = []
             for i in range(start, min(start + _RECORD_BLOCK, stop)):
-                e = _exponent(p, k, i)
-                if e not in named:
-                    named[e] = p**e, str(AbelianGroup.cyclic(p**e))
-                order, group = named[e]
-                records.append(
-                    {"i": i, "k_divides_i": i % k == 0, "exponent": e, "order": order, "group": group}
-                )
-            yield records
+                key = _exponent(p, k, i), i % k == 0
+                if key not in shapes:
+                    shapes[key] = self._shape(*key)
+                block.append((i, shapes[key]))
+            yield block
 
 
 def cmd_tp(args):
@@ -383,11 +392,8 @@ def _tp_lines(tree):
     if tree["factors"]:
         yield "  weight  k|i  factor"
         for block in tree["factors"]:
-            for f in block:
-                yield (
-                    f"  {f['i']:>6}  {'yes' if f['k_divides_i'] else ' no'}  "
-                    f"{f['group']} (exponent {f['exponent']})"
-                )
+            for i, (_, _, row) in block:
+                yield f"  {i:>6}{row}"
         yield (
             f"  truncated at weight {config['truncate']}; higher weights follow the "
             "same two-case exponent rule"
@@ -470,48 +476,26 @@ def _selftest_lines(tree):
     yield f"selftest: {'all checks passed' if tree['ok'] else 'CHECKS FAILED'}"
 
 
-# a record's items sit at depth 3 of the report; the newline and their
-# indent live in the item separator, and indent stays None, so the stdlib
-# picks its C encoder
-_encode_records = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
-
-
-def _record_blocks(blocks):
-    """The items of a report value that is a list of records, one chunk per block.
-
-    ``blocks`` are nonempty lists of nonempty dicts of scalars.  The
-    encoder puts each record's keys at depth 3, so only the boundaries
-    between records need the list's indent.  The C encoder escapes every
-    newline inside a string, so a raw newline comes from a separator.
-    Inside a record, the character before a separator ends a scalar and
-    the one after it opens a key, so ``},`` + separator + ``{`` is exactly
-    a boundary between two records.  Every chunk but the first starts
-    with the separator from the block before it.
-    """
-    boundary, fixed = "},\n      {", "\n    },\n    {\n      "
-    lead = ""
-    for block in blocks:
-        # made inside the yield, so no local holds this text while the next block is made
-        yield lead + "{\n      " + _encode_records(block)[2:-2].replace(boundary, fixed) + "\n    }"
-        lead = ",\n    "
-
-
 def _json_chunks(report):
     """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, in chunks.
 
     ``report`` is a nonempty dict with text keys.  Each value is one
     ``json.dumps`` call, moved one level in: the encoder escapes every
     newline inside a string, so each raw newline starts a line.  A
-    ``_FactorTable`` goes out one block of records at a time, so no chunk
-    holds ``tp``'s table.
+    ``_FactorTable`` goes out one chunk per block, each record its shape's
+    cached JSON around the weight, so no chunk holds ``tp``'s table and no
+    record calls the encoder.
     """
     lead = "{\n  "
     for key in sorted(report):
         value = report[key]
         yield lead + json.dumps(key) + ": "
         if type(value) is _FactorTable:
-            yield "[\n    "
-            yield from _record_blocks(value)
+            sep = "[\n    "
+            for block in value:
+                # made inside the yield, so no local holds this text while the next block is made
+                yield sep + ",\n    ".join([f"{head}{i}{tail}" for i, (head, tail, _) in block])
+                sep = ",\n    "
             yield "\n  ]"
         else:
             yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")

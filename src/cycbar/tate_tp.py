@@ -255,6 +255,11 @@ def exponent_sup(p, k):
     """
     _require_prime(p)
     _require_order(k)
+    return _exponent_sup(p, k)
+
+
+def _exponent_sup(p, k):
+    """``exponent_sup`` for arguments already checked."""
     r = _valuation(p, k)
     return r if k == p**r else inf
 
@@ -270,7 +275,7 @@ def nil_invariance_report(p, k):
     """
     _require_prime(p)
     _require_order(k)
-    sup = exponent_sup(p, k)
+    sup = _exponent_sup(p, k)
     witness = k if k % p == 0 else p
     return NilInvariance(
         p=p,

@@ -247,46 +247,15 @@ def test_json_text_is_json_dumps(report):
     assert text == json.dumps(report, indent=2, sort_keys=True)
 
 
-def _records(n, strings=("Z/2",)):
-    return [
-        {"i": i, "s": strings[i % len(strings)], "ok": i % 3 == 0, "x": None, "r": i / 7}
-        for i in range(n)
-    ]
-
-
-def _assert_record_blocks(records):
-    # the records as the value of a top-level key, in blocks of at most 1,024
-    blocks = [records[s:s + 1024] for s in range(0, len(records), 1024)]
-    text = '{\n  "factors": [\n    ' + "".join(cycbar.cli._record_blocks(blocks)) + "\n  ]\n}"
-    assert text == json.dumps({"factors": records}, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
-def test_json_text_record_tables(n):
-    _assert_record_blocks(_records(n))
-
-
-def test_json_text_record_strings():
-    # a string that looks like the boundary between two records, brackets,
-    # escapes and non-ASCII text, as values and as keys
-    strings = [
-        "},\n    {", "},\n      {", "}", "{", "},", "}, {", '"\\/\b\f\n\r\t', "\u2028\x00\x7f",
-        "Z/2 é 𝔽_p ✓",
-    ]
-    records = _records(2100, strings)
-    for r in records:
-        r[r["s"]] = r["s"]
-    _assert_record_blocks(records)
-    _assert_record_blocks([{"}": "}"}, {"{": "{"}, {"z": "},\n    {"}])
-
-
 def test_json_text_encodes_records_in_blocks():
-    # blocks bound the size of each encoded string
+    # blocks bound the size of each chunk, and each shape is made once
     for truncate in (1, 1024, 1025, 5000):
         blocks = list(cycbar.cli._FactorTable(2, 6, truncate))
         assert len(blocks) == math.ceil(truncate / 1024)
         assert max(map(len, blocks)) <= 1024
-        assert [r["i"] for block in blocks for r in block] == list(range(1, truncate + 1))
+        assert [i for block in blocks for i, _ in block] == list(range(1, truncate + 1))
+        shapes = [shape for block in blocks for _, shape in block]
+        assert len({id(s) for s in shapes}) == len(set(shapes)) <= 2 * (math.log2(truncate) + 1)
 
 
 def test_tp_json_bytes_are_json_dumps(capsys):
@@ -435,9 +404,23 @@ def test_tp_builds_no_factor_per_weight(capsys, monkeypatch):
         assert counts[0] == counts[1]
 
 
+def test_tp_encodes_each_record_shape_once(capsys, monkeypatch):
+    # one json.dumps call per shape (exponent, k | i) and none per record;
+    # at k = p^2 a table has the same 3 shapes at both truncations
+    calls = []
+    real = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    counts = []
+    for t in (5000, 100000):
+        calls.clear()
+        assert run(capsys, *_tp_argv(3, 9, 1, t, "json"))[0] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_tp_table_memory_does_not_hold_the_table(monkeypatch):
     # the 100k-factor table as objects and dicts took ~29 MB; a block of
-    # records and its encoded chunk take about 1 MB
+    # (weight, shape) pairs and its chunk peak at about 0.6 MB
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr("sys.stdout", sink)
         tracemalloc.start()

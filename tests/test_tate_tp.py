@@ -249,6 +249,14 @@ def test_relative_tp_checks_the_prime_once(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_nil_invariance_report_checks_the_prime_once(monkeypatch):
+    calls = []
+    real = tate_tp._is_prime
+    monkeypatch.setattr(tate_tp, "_is_prime", lambda p: calls.append(p) or real(p))
+    assert nil_invariance_report(999999999989, 6).exponent_sup is inf
+    assert calls == [999999999989]
+
+
 def test_expected_reduced_homology():
     assert expected_reduced_homology(1, 2) == {0: Z, 1: Z}
     assert expected_reduced_homology(5, 2) == {4: Z, 5: Z}
