@@ -13,10 +13,11 @@ Commands:
 
 Each handler checks its input and computes its report once, as a JSON
 tree, and prints nothing; a text generator bound beside it yields the
-text lines from the finished tree.  ``tp``'s ``factors`` is the one
-part left unmade: a ``_FactorTable`` that makes its records from the
-exponent rule 1,024 weights at a time while they are written, so no
-command holds the table.  ``main`` adds the ``tool`` and ``command``
+text lines from the finished tree, one joined block of rows per 1,024
+weights for ``tp``'s table.  ``tp``'s ``factors`` is the one part left
+unmade: a ``_FactorTable`` that makes its records from the exponent
+rule 1,024 weights at a time while they are written, so no command
+holds the table.  ``main`` adds the ``tool`` and ``command``
 fields, renders only the format asked for, writes it to stdout or
 ``--out`` (opened only once the report is ready), and picks the exit
 code.  ``--format json`` prints the bytes of
@@ -24,10 +25,11 @@ code.  ``--format json`` prints the bytes of
 identical inputs give identical bytes): one ``json.dumps`` call per
 top-level value, and one per shape ``(exponent, k | i)`` of ``tp``'s
 records, whose text each record of that shape repeats around its weight
-in both formats.  Each chunk of 1,024 records, and each text line, is
-written as it is made.  Exit codes: 0 on success, 1 when the report's
-``ok`` is false (a mathematical check failed), 2 for usage or
-validation errors, and for a failed write to stdout or ``--out``.
+in both formats.  Each block of 1,024 records, as JSON or as text rows,
+and each other text line is written as it is made.  Exit codes: 0 on
+success, 1 when the report's ``ok`` is false (a mathematical check
+failed), 2 for usage or validation errors, and for a failed write to
+stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -211,8 +213,9 @@ def _weight_check(k, i, dd=False):
 
 
 def _worker_count(jobs, n_items):
-    """Worker processes for n_items independent items; at most one per CPU."""
-    return min(jobs, n_items, os.cpu_count() or 1)
+    """Worker processes for n_items independent items; at most one per CPU the process may use."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(jobs, n_items, cpus or 1)
 
 
 def _run_jobs(fn, items, jobs):
@@ -392,8 +395,7 @@ def _tp_lines(tree):
     if tree["factors"]:
         yield "  weight  k|i  factor"
         for block in tree["factors"]:
-            for i, (_, _, row) in block:
-                yield f"  {i:>6}{row}"
+            yield "\n".join([f"  {i:>6}{row}" for i, (_, _, row) in block])
         yield (
             f"  truncated at weight {config['truncate']}; higher weights follow the "
             "same two-case exponent rule"
@@ -506,8 +508,9 @@ def _json_chunks(report):
 def _write_report(args, report):
     """Render ``report`` in the format asked for, writing it to stdout or ``--out`` as it is made.
 
-    JSON goes out chunk by chunk, text line by line.  A failed write or
-    flush on either output is a ``UsageError``.
+    JSON goes out chunk by chunk, text line by line, with ``tp``'s table
+    rows a block at a time.  A failed write or flush on either output is
+    a ``UsageError``.
     """
     if args.fmt == "json":
         chunks = chain(_json_chunks({"tool": "cycbar", "command": args.command, **report}), ["\n"])

@@ -19,12 +19,14 @@ are kept as sparse (row, col, value) triplets.  First, +-1 pivots are
 eliminated on the sparse rows, sparsest column first; each contributes an
 invariant factor 1 and removes one row and one column.  Only the small
 residual left without unit entries is densified, for a diagonalization
-that picks pivots of minimal absolute value and reduces with
-extended-gcd row/column operations.
+that picks pivots of minimal absolute value and clears their rows and
+columns by division with remainder; a remainder becomes the next pivot,
+so the gcd is reached without extended-gcd cofactors.  Before a pivot is
+kept, a row holding an entry it does not divide is added to its row, so
+every pivot divides all later ones and no final pass fixes the diagonal.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 from .cyclic_bar import BASEPOINT, CyclicBar, WeightComponent, _is_integer, _require_order
 
@@ -93,21 +95,6 @@ class AbelianGroup:
 ZERO_GROUP = AbelianGroup(0, ())
 
 
-def _xgcd(a, b):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def smith_normal_form(matrix):
     """Diagonal of the Smith normal form of an integer matrix.
 
@@ -115,12 +102,15 @@ def smith_normal_form(matrix):
     has min(rows, cols) entries: the invariant factors d_1 | d_2 | ...,
     nonnegative, followed by zeros.  The input is not modified.
 
-    Diagonalization repeatedly moves a nonzero entry of minimal absolute
-    value to the pivot position (a +-1 short-circuits the search) and
-    clears its row and column, using exact division where the pivot
-    divides and a unimodular extended-gcd combination otherwise; the
-    latter can refill the column, so the two sweeps alternate until
-    stable.  A final gcd/lcm pass on the diagonal enforces divisibility.
+    Step t moves an entry p of least absolute value in the trailing block
+    to (t, t) (a +-1 ends the search) and clears column t, then row t, by
+    division with remainder: v // p times the pivot row or column is
+    subtracted, which leaves v % p.  A remainder is smaller than p and
+    becomes the pivot of a new round of step t.  When row and column are
+    clear but p does not divide some trailing entry, that entry's row is
+    added to row t, which leaves a remainder in the next round.  So p
+    divides every entry that later steps see, and the diagonal is a
+    divisibility chain as it is made; no final pass repairs it.
     """
     rows = [list(row) for row in matrix]
     m = len(rows)
@@ -153,52 +143,27 @@ def smith_normal_form(matrix):
         if pc != t:
             for row in rows:
                 row[t], row[pc] = row[pc], row[t]
-        while True:
-            for r in range(t + 1, m):
-                v = rows[r][t]
-                if v == 0:
-                    continue
-                p = rows[t][t]
-                rowt, rowr = rows[t], rows[r]
-                if v % p == 0:
-                    q = v // p
-                    for c in range(t, n):
-                        rowr[c] -= q * rowt[c]
-                else:
-                    g, u, w = _xgcd(p, v)
-                    a, b = -(v // g), p // g
-                    for c in range(t, n):
-                        x, y = rowt[c], rowr[c]
-                        rowt[c] = u * x + w * y
-                        rowr[c] = a * x + b * y
-            dirty = False
-            for c in range(t + 1, n):
-                v = rows[t][c]
-                if v == 0:
-                    continue
-                p = rows[t][t]
-                if v % p == 0:
-                    q = v // p
-                    for r in range(t, m):
-                        rows[r][c] -= q * rows[r][t]
-                else:
-                    g, u, w = _xgcd(p, v)
-                    a, b = -(v // g), p // g
-                    for r in range(t, m):
-                        x, y = rows[r][t], rows[r][c]
-                        rows[r][t] = u * x + w * y
-                        rows[r][c] = a * x + b * y
-                    dirty = True
-            if not dirty:
-                break
+        pivot = rows[t]
+        p = pivot[t]
+        for row in rows[t + 1:]:
+            q = row[t] // p
+            if q:
+                for c in range(t, n):
+                    row[c] -= q * pivot[c]
+        if any(row[t] for row in rows[t + 1:]):
+            continue  # a remainder is left: it is the smaller pivot of a new round
+        # column t is zero below the pivot, so taking v // p times it from
+        # column c leaves v % p in row t and changes no other row
+        pivot[t + 1:] = [v % p for v in pivot[t + 1:]]
+        if any(pivot[t + 1:]):
+            continue
+        if best > 1:
+            bad = next((row for row in rows[t + 1:] if any(v % p for v in row[t + 1:])), None)
+            if bad:
+                pivot[t + 1:] = bad[t + 1:]  # row t is zero past the pivot: this adds bad to it
+                continue
         t += 1
-    inv = [abs(rows[j][j]) for j in range(t)]
-    for a in range(len(inv)):
-        for b in range(a + 1, len(inv)):
-            if inv[b] % inv[a]:
-                g = gcd(inv[a], inv[b])
-                inv[a], inv[b] = g, inv[a] * inv[b] // g
-    return inv + [0] * (size - len(inv))
+    return [abs(rows[j][j]) for j in range(t)] + [0] * (size - t)
 
 
 def _eliminate_unit_pivots(triplets):

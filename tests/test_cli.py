@@ -186,7 +186,14 @@ def test_verdict_large_prime_is_bounded(capsys):
 
 
 def test_worker_count_is_bounded(monkeypatch):
+    # a process pinned to one of the machine's two CPUs gets one worker
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert _worker_count(2, 10) == 1
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _worker_count(10**9, 10) == 3
+    # without affinity masks the machine's CPU count is the bound
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
     assert _worker_count(1, 10) == 1
     assert _worker_count(2, 10) == 2
     assert _worker_count(10**9, 10) == 2

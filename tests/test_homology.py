@@ -78,6 +78,8 @@ def test_snf_examples():
     assert smith_normal_form([[2]]) == [2]
     assert smith_normal_form([[-5]]) == [5]
     assert smith_normal_form([[3, 0, 0], [0, 0, 0]]) == [3, 0]
+    # no pivot divides the next at first: a row is added to the pivot row twice
+    assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == [1, 30, 30]
     assert smith_normal_form([]) == []
     assert smith_normal_form([[], []]) == []
 
@@ -105,6 +107,19 @@ def test_snf_against_oracle_random():
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        assert smith_normal_form(a) == snf_by_minor_gcd(a), a
+    # no unit entries: every pivot leaves remainders or a trailing entry it does not divide
+    unit_free = (0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 10, -10, 15, -15)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        a = [[rng.choice(unit_free) for _ in range(n)] for _ in range(m)]
+        assert smith_normal_form(a) == snf_by_minor_gcd(a), a
+    # entries near 10**12 differ by little, so each division leaves a long run of remainders
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        a = [[rng.choice((0, 1, -1)) * (10**12 + rng.randint(-9, 9)) for _ in range(n)] for _ in range(m)]
         assert smith_normal_form(a) == snf_by_minor_gcd(a), a
 
 
