@@ -5,6 +5,7 @@ The package computes, exactly over the integers:
 * the weight components of the cyclic bar construction of the pointed
   multiplicative monoid {0, 1, x, ..., x^(k-1)} with x^k = 0,
 * their integral homology via Smith normal forms of the boundary maps,
+  and from the two critical cells of an acyclic Morse matching,
 * the closed-form relative periodic topological cyclic homology of
   F_p[x]/(x^k) relative to (x), together with nil-invariance verdicts.
 

@@ -3,9 +3,17 @@
 Commands:
 
 * ``homology``: basis sizes and integral homology of weight components.
+  The basis sizes are counted (``cell_counts``) and the groups are read
+  off the two critical cells of the a_0 Morse matching
+  (``morse_homology``), so no simplex is listed and no matrix reduced.
+  A weight whose Morse flow replaces more than ``MORSE_FLOW_BUDGET``
+  cells is refused.
 * ``verify``: computed homology of every weight 1..max_i against the
   closed form (Z in degrees 2d, 2d+1, or Z/k in degree 2d+1 when k | i),
-  plus the operator-identity and alternating-count suites.
+  plus the operator-identity and alternating-count suites.  It stays
+  exhaustive: it enumerates every simplex and reduces every boundary
+  matrix, and refuses, before any of that, a range of more than
+  ``VERIFY_CELL_BUDGET`` cells.
 * ``tp``: the factor table of one degree of the relative periodic
   theory, with truncation notice and verdicts.
 * ``verdict``: nil-invariance verdicts for one pair (p, k).
@@ -42,8 +50,8 @@ from functools import partial
 from itertools import chain
 from math import inf
 
-from .cyclic_bar import CyclicBar, weight_identity_violations
-from .homology import ZERO_GROUP, AbelianGroup, chain_complex, homology_groups, verify_weight_piece
+from .cyclic_bar import CyclicBar, _cell_totals, cell_counts, weight_identity_violations
+from .homology import MORSE_FLOW_BUDGET, ZERO_GROUP, AbelianGroup, chain_complex, morse_homology, verify_weight_piece
 from .tate_tp import _exponent, _require_table, nil_invariance_report
 
 __all__ = ["main", "UsageError"]
@@ -51,6 +59,10 @@ __all__ = ["main", "UsageError"]
 
 class UsageError(ValueError):
     """Bad command line input; maps to exit code 2."""
+
+
+# the most cells verify enumerates, summed over its weights, counted before any is listed
+VERIFY_CELL_BUDGET = 100_000
 
 
 def _parse_weight_range(text):
@@ -86,25 +98,31 @@ def build_parser():
         )
         sp.add_argument("--out", default=None, help="write the report to this file")
 
-    def jobs(sp):
-        sp.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker processes for independent weights, at most one per CPU "
-            "(default: 1)",
-        )
-
-    sp = sub.add_parser("homology", help="homology of weight components")
+    sp = sub.add_parser(
+        "homology",
+        help="homology of weight components, from the two critical cells of the a_0 Morse matching",
+        description="Basis sizes of weight components, counted by a recurrence, and their "
+        "integral homology, read off the two critical cells of the a_0 Morse matching with one "
+        "flow per weight: no simplex is listed and no matrix reduced.  A weight whose flow "
+        f"replaces more than {MORSE_FLOW_BUDGET} cells is refused.  verify stays exhaustive.",
+    )
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--i", required=True, help="weight or inclusive range A..B")
     common(sp)
-    jobs(sp)
     sp.set_defaults(handler=cmd_homology, lines=_homology_lines)
 
-    sp = sub.add_parser("verify", help="check homology against the closed form")
+    sp = sub.add_parser(
+        "verify",
+        help="check homology against the closed form, enumerating every simplex and reducing "
+        f"every boundary (at most {VERIFY_CELL_BUDGET} cells)",
+    )
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--max-i", type=int, required=True, help="largest weight checked")
+    sp.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for independent weights, at most one per CPU (default: 1)",
+    )
     common(sp)
-    jobs(sp)
     sp.set_defaults(handler=cmd_verify, lines=_verify_lines)
 
     sp = sub.add_parser("tp", help="factor table of the relative periodic theory")
@@ -153,17 +171,12 @@ def _group_node(group):
 
 
 def _homology_entry(k, i):
-    cx = chain_complex(CyclicBar(k).enumerate_weight_component(i))
-    groups = homology_groups(cx)
+    groups = morse_homology(k, i)
     return {
         "i": i,
         "degrees": [
-            {
-                "degree": l,
-                "basis_size": cx.dimension(l),
-                "homology": _group_node(groups[l]),
-            }
-            for l in range(cx.top_degree + 1)
+            {"degree": l, "basis_size": size, "homology": _group_node(groups[l])}
+            for l, size in enumerate(cell_counts(k, i))
         ],
     }
 
@@ -257,10 +270,9 @@ def _verdict_lines(node):
 
 
 def cmd_homology(args):
-    weights = range(args.i_lo, args.i_hi + 1)
     return {
         "config": {"k": args.k, "i_min": args.i_lo, "i_max": args.i_hi},
-        "components": _run_jobs(partial(_homology_entry, args.k), weights, args.jobs),
+        "components": [_homology_entry(args.k, i) for i in range(args.i_lo, args.i_hi + 1)],
     }
 
 
@@ -276,6 +288,14 @@ def _homology_lines(tree):
 
 
 def cmd_verify(args):
+    cells = 0
+    for i, total in zip(range(args.max_i + 1), _cell_totals(args.k)):
+        cells += total
+        if cells > VERIFY_CELL_BUDGET:
+            raise UsageError(
+                f"verify --k {args.k} --max-i {args.max_i} would check more than "
+                f"{VERIFY_CELL_BUDGET} cells: weights 0..{i} hold {cells}"
+            )
     records = _run_jobs(partial(_weight_check, args.k), range(args.max_i + 1), args.jobs)
     entries = [r["piece"] for r in records if r["piece"]]
     euler = [r["euler"] for r in records if r["euler"]]

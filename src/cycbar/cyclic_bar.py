@@ -24,6 +24,7 @@ i >= 1 therefore lives in degrees <= i, with the single top simplex
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .monoid import BASEPOINT
 
@@ -31,6 +32,7 @@ __all__ = [
     "BASEPOINT",
     "CyclicBar",
     "WeightComponent",
+    "cell_counts",
     "simplex_weight",
     "is_degenerate",
     "identity_violations",
@@ -167,8 +169,7 @@ class CyclicBar:
         Degrees run up to i (weight 0 needs only degree 0).  Tuples have
         a_0 in [0, k-1] and a_j in [1, k-1] for j >= 1.
         """
-        if not _is_integer(i) or i < 0:
-            raise ValueError(f"weight must be a nonnegative integer, got {i!r}")
+        _require_nonnegative_weight(i)
         hi = self.k - 1
         # leading entry may be the unit, the rest may not
         blocks = tuple(
@@ -230,6 +231,49 @@ def _compositions(total, parts, hi):
     for a in range(lo_first, hi_first + 1):
         for tail in _compositions(total - a, parts - 1, hi):
             yield (a,) + tail
+
+
+def _require_nonnegative_weight(i):
+    if not _is_integer(i) or i < 0:
+        raise ValueError(f"weight must be a nonnegative integer, got {i!r}")
+
+
+def cell_counts(k, i):
+    """The nondegenerate simplices of weight i per degree 0..i, counted, not listed.
+
+    Equal to ``CyclicBar(k).enumerate_weight_component(i).degree_counts()``.
+    An l-simplex is a_0 in [0, k-1] followed by a composition of i - a_0
+    into l parts in [1, k-1], so the count in degree l is
+    c_l(i) = sum over a_0 of comp(i - a_0, l, k-1).  The row
+    comp(m, l, k-1), m = 0..i, is made from the row of l - 1 parts by
+    prefix sums: O(i) additions per degree, O(i^2) per weight.
+    """
+    _require_order(k)
+    _require_nonnegative_weight(i)
+    hi = k - 1
+    row = [1] + [0] * i  # comp(m, 0, hi)
+    counts = []
+    for _ in range(i + 1):
+        counts.append(sum(row[max(0, i - hi):]))
+        acc = [0, *accumulate(row)]
+        row = [acc[m] - acc[max(0, m - hi)] for m in range(i + 1)]
+    return counts
+
+
+def _cell_totals(k):
+    """The nondegenerate simplices of weight 0, 1, 2, ..., one total per weight, without end.
+
+    Summed over degrees, weight i has sum over a_0 of C(i - a_0) cells,
+    where C(m) counts the compositions of m into parts in [1, k-1] with
+    any number of parts: C(0) = 1 and C(m) = C(m-1) + ... + C(m-k+1).
+    Each total costs O(k) additions, so a caller can stop at a budget
+    without paying for the weights past it.
+    """
+    hi = k - 1
+    comp = [1]
+    while True:
+        yield sum(comp[-hi - 1:])
+        comp.append(sum(comp[-hi:]))
 
 
 def _require_simplex(bar, s):

@@ -11,6 +11,7 @@ HOMES = {
         "BASEPOINT",
         "CyclicBar",
         "WeightComponent",
+        "cell_counts",
         "identity_report",
         "identity_violations",
         "is_degenerate",
@@ -25,6 +26,7 @@ HOMES = {
         "expected_reduced_homology",
         "homology_groups",
         "lambda_dim",
+        "morse_homology",
         "smith_normal_form",
         "verify_weight_piece",
     ],
@@ -45,7 +47,7 @@ HOMES = {
 
 def test_public_names():
     assert sorted(cycbar.__all__) == sorted(n for names in HOMES.values() for n in names)
-    assert len(cycbar.__all__) == 27
+    assert len(cycbar.__all__) == 29
 
 
 def test_public_names_are_the_module_objects():

@@ -14,7 +14,7 @@ import cycbar.cli
 import cycbar.homology
 import cycbar.tate_tp as tate_tp
 from cycbar.cli import UsageError, _parse_weight_range, _worker_count, main
-from cycbar.cyclic_bar import CyclicBar, WeightComponent
+from cycbar.cyclic_bar import CyclicBar, WeightComponent, cell_counts
 from cycbar.homology import ChainComplex
 from cycbar.tate_tp import relative_tp
 
@@ -161,7 +161,9 @@ def test_selftest_computes_each_weight_once(capsys, monkeypatch):
 
 
 def test_jobs_only_where_weights_fan_out(capsys):
+    # homology takes milliseconds per weight, so only verify has --jobs
     for argv in (
+        ["homology", "--k", "2", "--i", "1"],
         ["tp", "--p", "2", "--k", "3", "--j", "1", "--truncate", "5"],
         ["verdict", "--p", "2", "--k", "4"],
         ["selftest"],
@@ -169,8 +171,64 @@ def test_jobs_only_where_weights_fan_out(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--jobs", "2"])
         assert exc.value.code == 2
-    assert run(capsys, "homology", "--k", "2", "--i", "1", "--jobs", "0")[0] == 2
     assert run(capsys, "verify", "--k", "2", "--max-i", "1", "--jobs", "0")[0] == 2
+
+
+def test_homology_enumerates_and_reduces_nothing(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("homology must not enumerate, build or reduce")
+
+    monkeypatch.setattr(CyclicBar, "enumerate_weight_component", refused)
+    for module in (cycbar.cli, cycbar.homology):
+        for name in ("chain_complex", "homology_groups", "smith_normal_form"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    code, out, _ = run(capsys, "homology", "--k", "5", "--i", "1..12", "--format", "json")
+    assert code == 0
+    assert [c["i"] for c in json.loads(out)["components"]] == list(range(1, 13))
+
+
+def test_homology_large_weight(capsys):
+    # 3.6e28 cells: 5 | 100, so d = 19 and the only group is Z/5 in degree 2d+1
+    code, out, _ = run(capsys, "homology", "--k", "5", "--i", "100", "--format", "json")
+    assert code == 0
+    (entry,) = json.loads(out)["components"]
+    rows = entry["degrees"]
+    assert [r["degree"] for r in rows] == list(range(101))
+    assert [r["basis_size"] for r in rows] == cell_counts(5, 100)
+    assert {r["degree"]: r["homology"]["name"] for r in rows if r["homology"]["name"] != "0"} == {39: "Z/5"}
+
+
+def test_homology_refuses_a_long_morse_flow(capsys, monkeypatch):
+    # the flows of k=5 replace 31 lower cells at i=15 and i=16, 12 or fewer below;
+    # the first weight over the budget is refused and nothing is written
+    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 30)
+    assert run(capsys, "homology", "--k", "5", "--i", "1..16") == (
+        2, "", "error: the Morse flow of weight 15 at k=5 replaced more than 30 cells\n",
+    )
+    assert run(capsys, "homology", "--k", "5", "--i", "1..14")[0] == 0
+    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 31)
+    assert run(capsys, "homology", "--k", "5", "--i", "1..16")[0] == 0
+
+
+def test_verify_refuses_above_the_cell_budget_before_enumerating(capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(CyclicBar, "enumerate_weight_component", lambda *a: started.append(a))
+    monkeypatch.setattr(cycbar.cli, "_run_jobs", lambda fn, items, jobs: started.append(items) or [])
+    code, out, err = run(capsys, "verify", "--k", "5", "--max-i", "18")
+    assert (code, out, started) == (2, "", [])
+    assert err == (
+        "error: verify --k 5 --max-i 18 would check more than 100000 cells: "
+        "weights 0..17 hold 164783\n"
+    )
+    # the budget admits k=4 and k=5 up to weight 16 and refuses k=5 at 17
+    assert run(capsys, "verify", "--k", "4", "--max-i", "16")[0] == 0
+    assert run(capsys, "verify", "--k", "5", "--max-i", "16")[0] == 0
+    assert started == [range(17), range(17)]
+    assert run(capsys, "verify", "--k", "5", "--max-i", "17")[0] == 2
+    # k=2 holds two cells per weight: refused at weight 50,000, whatever --max-i says
+    assert run(capsys, "verify", "--k", "2", "--max-i", str(10**18))[0] == 2
+    assert len(started) == 2
 
 
 def test_verdict_large_prime_is_bounded(capsys):
@@ -649,7 +707,8 @@ USAGE_ERRORS = [
      "expected a prime, got composite 4"),
     (("tp", "--p", "2", "--k", "3", "--j", "1", "--truncate", "0"),
      "--truncate must be >= 1, got 0"),
-    (("homology", "--k", "2", "--i", "1", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+    # the --jobs check comes before the cell budget
+    (("verify", "--k", "5", "--max-i", "18", "--jobs", "0"), "--jobs must be >= 1, got 0"),
     (("verify", "--k", "2", "--max-i", "2", "--jobs", "0"), "--jobs must be >= 1, got 0"),
     (("homology", "--k", "2", "--i", "5..2"), "empty weight range '5..2'"),
     (("homology", "--k", "2", "--i", "x"), "cannot parse weight range 'x'; use N or A..B"),

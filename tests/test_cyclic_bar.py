@@ -1,5 +1,5 @@
 import re
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +8,8 @@ from cycbar.cyclic_bar import (
     BASEPOINT,
     CyclicBar,
     WeightComponent,
+    _cell_totals,
+    cell_counts,
     identity_report,
     identity_violations,
     is_degenerate,
@@ -158,6 +160,34 @@ def test_generated_equals_enumerated_small():
         bar = CyclicBar(k)
         for i in range(1, 7):
             assert bar.generated_cyclic_subset(i) == bar.enumerate_weight_component(i)
+
+
+def test_cell_counts_match_enumeration():
+    for k in range(2, 7):
+        bar = CyclicBar(k)
+        totals = list(islice(_cell_totals(k), 13))
+        for i in range(13):
+            counts = bar.enumerate_weight_component(i).degree_counts()
+            assert cell_counts(k, i) == counts, (k, i)
+            assert totals[i] == sum(counts), (k, i)
+
+
+def test_cell_counts_at_large_weights():
+    # k=2: a_0 in {0, 1} and a tail of ones, so one cell in each of degrees i-1 and i
+    assert cell_counts(2, 1000) == [0] * 999 + [1, 1]
+    assert list(islice(_cell_totals(2), 4)) == [1, 2, 2, 2]
+    # the three verify sizes on each side of its cell budget
+    for k, max_i, cells in ((4, 16, 46497), (5, 16, 85487), (5, 17, 164783)):
+        assert sum(islice(_cell_totals(k), max_i + 1)) == cells
+        assert sum(sum(cell_counts(k, i)) for i in range(max_i + 1)) == cells
+    # 3.6e28 cells at k=5, i=100, without listing one
+    assert sum(cell_counts(5, 100)) == list(islice(_cell_totals(5), 101))[-1] > 10**28
+
+
+@pytest.mark.parametrize("k, i", [(1, 3), (True, 3), (3, -1), (3, 2.0), (3, True)])
+def test_cell_counts_refuse_bad_input(k, i):
+    with pytest.raises(ValueError):
+        cell_counts(k, i)
 
 
 def test_faces_stay_nondegenerate():
