@@ -6,14 +6,15 @@ Commands:
   The basis sizes are counted (``cell_counts``) and the groups are read
   off the two critical cells of the a_0 Morse matching
   (``morse_homology``), so no simplex is listed and no matrix reduced.
-  A weight whose Morse flow replaces more than ``MORSE_FLOW_BUDGET``
-  cells is refused.
+  A range whose counts fill more than ``HOMOLOGY_COUNT_BUDGET`` entries,
+  and a weight whose walk takes more than ``MORSE_FLOW_BUDGET`` faces,
+  are refused.
 * ``verify``: computed homology of every weight 1..max_i against the
   closed form (Z in degrees 2d, 2d+1, or Z/k in degree 2d+1 when k | i),
   plus the operator-identity and alternating-count suites.  It stays
   exhaustive: it enumerates every simplex and reduces every boundary
-  matrix, and refuses, before any of that, a range of more than
-  ``VERIFY_CELL_BUDGET`` cells.
+  matrix, and refuses, before any of that, a range whose cells weigh
+  more than ``VERIFY_WORK_BUDGET``, (l + 1)**3 per cell of degree l.
 * ``tp``: the factor table of one degree of the relative periodic
   theory, with truncation notice and verdicts.
 * ``verdict``: nil-invariance verdicts for one pair (p, k).
@@ -50,7 +51,7 @@ from functools import partial
 from itertools import chain
 from math import inf
 
-from .cyclic_bar import CyclicBar, _cell_totals, cell_counts, weight_identity_violations
+from .cyclic_bar import CyclicBar, cell_counts, weight_identity_violations
 from .homology import MORSE_FLOW_BUDGET, ZERO_GROUP, AbelianGroup, chain_complex, morse_homology, verify_weight_piece
 from .tate_tp import _exponent, _require_table, nil_invariance_report
 
@@ -61,8 +62,11 @@ class UsageError(ValueError):
     """Bad command line input; maps to exit code 2."""
 
 
-# the most cells verify enumerates, summed over its weights, counted before any is listed
-VERIFY_CELL_BUDGET = 100_000
+# the most work verify takes on, weighed before any cell is listed: a cell of degree l
+# weighs (l + 1)**3, since its identity suite takes ~l**2 faces of l + 1 entries each
+VERIFY_WORK_BUDGET = 100_000_000
+# the most entries homology's counts fill: cell_counts(k, i) fills (i + 1)**2
+HOMOLOGY_COUNT_BUDGET = 2_000_000
 
 
 def _parse_weight_range(text):
@@ -103,8 +107,9 @@ def build_parser():
         help="homology of weight components, from the two critical cells of the a_0 Morse matching",
         description="Basis sizes of weight components, counted by a recurrence, and their "
         "integral homology, read off the two critical cells of the a_0 Morse matching with one "
-        "flow per weight: no simplex is listed and no matrix reduced.  A weight whose flow "
-        f"replaces more than {MORSE_FLOW_BUDGET} cells is refused.  verify stays exhaustive.",
+        "flow per weight: no simplex is listed and no matrix reduced.  A range of more than "
+        f"{HOMOLOGY_COUNT_BUDGET} count entries, (i + 1)**2 per weight, and a weight whose flow "
+        f"takes more than {MORSE_FLOW_BUDGET} faces are refused.  verify stays exhaustive.",
     )
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--i", required=True, help="weight or inclusive range A..B")
@@ -114,7 +119,7 @@ def build_parser():
     sp = sub.add_parser(
         "verify",
         help="check homology against the closed form, enumerating every simplex and reducing "
-        f"every boundary (at most {VERIFY_CELL_BUDGET} cells)",
+        f"every boundary (cells weighing at most {VERIFY_WORK_BUDGET}, (l + 1)**3 each in degree l)",
     )
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--max-i", type=int, required=True, help="largest weight checked")
@@ -157,7 +162,14 @@ def _check_args(args):
     if given.get("k", 2) < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
     if "i" in given:
-        args.i_lo, args.i_hi = _parse_weight_range(args.i)
+        lo, hi = args.i_lo, args.i_hi = _parse_weight_range(args.i)
+        # the sum of (i + 1)**2 over lo..hi, as 1 + 4 + ... + m**2 = m(m+1)(2m+1)/6
+        entries = ((hi + 1) * (hi + 2) * (2 * hi + 3) - lo * (lo + 1) * (2 * lo + 1)) // 6
+        if entries > HOMOLOGY_COUNT_BUDGET:
+            raise UsageError(
+                f"homology --k {args.k} --i {args.i} would fill more than {HOMOLOGY_COUNT_BUDGET} "
+                f"count entries: the sum of (i + 1)**2 over its weights is {entries}"
+            )
     if given.get("max_i", 1) < 1:
         raise UsageError(f"--max-i must be >= 1, got {args.max_i}")
     if given.get("p", 2) < 2:
@@ -288,13 +300,14 @@ def _homology_lines(tree):
 
 
 def cmd_verify(args):
-    cells = 0
-    for i, total in zip(range(args.max_i + 1), _cell_totals(args.k)):
-        cells += total
-        if cells > VERIFY_CELL_BUDGET:
+    work = 0
+    for i in range(args.max_i + 1):
+        work += sum(c * (l + 1) ** 3 for l, c in enumerate(cell_counts(args.k, i)))
+        if work > VERIFY_WORK_BUDGET:
             raise UsageError(
                 f"verify --k {args.k} --max-i {args.max_i} would check more than "
-                f"{VERIFY_CELL_BUDGET} cells: weights 0..{i} hold {cells}"
+                f"{VERIFY_WORK_BUDGET}: the cells of weights 0..{i} weigh {work}, "
+                "(l + 1)**3 each in degree l"
             )
     records = _run_jobs(partial(_weight_check, args.k), range(args.max_i + 1), args.jobs)
     entries = [r["piece"] for r in records if r["piece"]]

@@ -260,22 +260,6 @@ def cell_counts(k, i):
     return counts
 
 
-def _cell_totals(k):
-    """The nondegenerate simplices of weight 0, 1, 2, ..., one total per weight, without end.
-
-    Summed over degrees, weight i has sum over a_0 of C(i - a_0) cells,
-    where C(m) counts the compositions of m into parts in [1, k-1] with
-    any number of parts: C(0) = 1 and C(m) = C(m-1) + ... + C(m-k+1).
-    Each total costs O(k) additions, so a caller can stop at a budget
-    without paying for the weights past it.
-    """
-    hi = k - 1
-    comp = [1]
-    while True:
-        yield sum(comp[-hi - 1:])
-        comp.append(sum(comp[-hi:]))
-
-
 def _require_simplex(bar, s):
     if s is BASEPOINT:
         raise ValueError("the identity suite needs a nonbasepoint simplex, got BASEPOINT")

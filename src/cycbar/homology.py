@@ -57,11 +57,13 @@ a time in (a_t, a_{t+1}), so once for all weights:
   and the matching is acyclic.
 
 The Morse differential from the high critical cell to the low one is
-read off one flow of the boundary of the high cell: lower cells are
-taken from a heap in key order, each once, and replaced by the rest of
-their partner's boundary; upper cells are dropped, since no path leaves
-them; the low cell's coefficient collects.  It is 0 when k does not
-divide i and +-k when it does.  These facts are checked against
+read off one depth-first walk of the gradient paths from the high cell,
+on a stack of (partner, +-1, skipped face): a lower face is pushed at
+once as its partner, an upper face is dropped, since no path leaves it,
+and a face on the low cell, the only critical cell in its degree, adds
+its +-1.  The flow is linear, so any order gives the same coefficient,
+and the matching is acyclic, so every path ends.  It is 0 when k does
+not divide i and +-k when it does.  These facts are checked against
 enumeration and elimination in the tests, not proved by the code.
 """
 
@@ -404,22 +406,22 @@ def homology_groups(cx):
     return out
 
 
-# the most lower cells one weight's Morse flow may replace before it is refused
-MORSE_FLOW_BUDGET = 50_000
+# the most faces, summed over the cells it pops, one weight's Morse walk may take
+MORSE_FLOW_BUDGET = 3_000_000
 
 def _morse_cell(s, k):
-    """Where the a_0 matching puts the simplex s: (kind, t, q), as the module docstring scans."""
+    """Where the a_0 matching puts the simplex s: (kind, t), as the module docstring scans."""
     top = len(s) - 1
     t = 1
     while t <= top:
         if s[t] >= 2:
-            return "lower", t, t // 2
+            return "lower", t
         if t == top:
             break
         if s[t + 1] < k - 1:
-            return "upper", t, t // 2
+            return "upper", t
         t += 2
-    return "critical", t, t // 2
+    return "critical", t
 
 
 def morse_homology(k, i):
@@ -427,10 +429,10 @@ def morse_homology(k, i):
 
     The same groups as ``homology_groups(chain_complex(...))``, from the
     two critical cells of the matching in the module docstring and one
-    flow of the high cell's boundary; the faces come from
+    walk of the gradient paths from the high cell; the faces come from
     ``CyclicBar.face``.  Nothing is enumerated and nothing is reduced.
-    A flow that replaces more than ``MORSE_FLOW_BUDGET`` lower cells is
-    refused with a ``ValueError``.
+    A walk is refused with a ``ValueError`` once the faces of the cells
+    it pops pass ``MORSE_FLOW_BUDGET``.
     """
     bar = CyclicBar(k)
     _require_nonnegative_weight(i)
@@ -438,51 +440,34 @@ def morse_homology(k, i):
     if i == 0:
         groups[0] = AbelianGroup.free(1)
         return groups
-    # imported on first use, as in _eliminate_unit_pivots
-    import heapq
-
     d = (i - 1) // k
     odd = ((i - 1) % k,) + (1, k - 1) * d + (1,)
     even = (i % k,) + (1, k - 1) * (i // k)
     low, high = (even, odd) if i % k else (odd, even)
-    chain = {}  # the lower cells still to replace, and the low cell
-    heap = []
-
-    def add(u, c, skip):
-        # add c times the boundary of u, without its face d_skip
+    m = faces = 0  # m: the low cell's coefficient in the Morse boundary of the high cell
+    stack = [(high, 1, None)]  # each entry adds c times the boundary of u, without its face d_skip
+    while stack:
+        u, c, skip = stack.pop()
+        faces += len(u)
+        if faces > MORSE_FLOW_BUDGET:
+            raise ValueError(
+                f"the Morse flow of weight {i} at k={k} took more than {MORSE_FLOW_BUDGET} faces"
+            )
         for a in range(len(u)):
             if a == skip:
                 continue
             f = bar.face(u, a)
             if f is BASEPOINT:
                 continue
-            kind, t, q = _morse_cell(f, k)
-            if kind == "upper":
-                continue  # matched down: no gradient path leaves it
-            if f not in chain:
-                chain[f] = 0
-                if kind == "lower":
-                    heapq.heappush(heap, (f[0], q, f))
-            chain[f] += -c if a % 2 else c
-
-    add(high, 1, None)
-    budget, visited = MORSE_FLOW_BUDGET, 0
-    while heap:
-        s = heapq.heappop(heap)[2]
-        c = chain.pop(s)
-        if not c:
-            continue
-        visited += 1
-        if visited > budget:
-            raise ValueError(
-                f"the Morse flow of weight {i} at k={k} replaced more than {budget} cells"
-            )
-        _, t, _ = _morse_cell(s, k)
-        # s is d_t of its partner with incidence (-1)^t: cancel c * s
-        add(s[:t] + (1, s[t] - 1) + s[t + 1:], c if t % 2 else -c, t)
-    m = abs(chain.get(low, 0))
+            kind, t = _morse_cell(f, k)
+            if kind == "lower":
+                # f is d_t of its partner with incidence (-1)^t: cancel c (-1)^a f
+                stack.append((f[:t] + (1, f[t] - 1) + f[t + 1:], c if (a + t) % 2 else -c, t))
+            elif kind == "critical":
+                m += -c if a % 2 else c  # f is the low cell
+            # an upper face is matched down: no gradient path leaves it
     n = len(low) - 1
-    groups[n] = AbelianGroup.cyclic(m) if m else AbelianGroup.free(1)
+    groups[n] = AbelianGroup.cyclic(abs(m)) if m else AbelianGroup.free(1)
     if not m:
         groups[n + 1] = AbelianGroup.free(1)
     return groups

@@ -200,15 +200,40 @@ def test_homology_large_weight(capsys):
 
 
 def test_homology_refuses_a_long_morse_flow(capsys, monkeypatch):
-    # the flows of k=5 replace 31 lower cells at i=15 and i=16, 12 or fewer below;
+    # the walks of k=5 take 224 faces at i=15 and 256 at i=16, 78 or fewer below;
     # the first weight over the budget is refused and nothing is written
-    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 30)
+    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 223)
     assert run(capsys, "homology", "--k", "5", "--i", "1..16") == (
-        2, "", "error: the Morse flow of weight 15 at k=5 replaced more than 30 cells\n",
+        2, "", "error: the Morse flow of weight 15 at k=5 took more than 223 faces\n",
     )
     assert run(capsys, "homology", "--k", "5", "--i", "1..14")[0] == 0
-    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 31)
+    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 256)
     assert run(capsys, "homology", "--k", "5", "--i", "1..16")[0] == 0
+
+
+def test_homology_refuses_above_the_count_budget_before_starting(capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(cycbar.cli, "cell_counts", lambda k, i: started.append(i) or [])
+    monkeypatch.setattr(cycbar.cli, "morse_homology", lambda k, i: started.append(i) or {})
+    code, out, err = run(capsys, "homology", "--k", "100000", "--i", "99999")
+    assert (code, out, started) == (2, "", [])
+    assert err == (
+        "error: homology --k 100000 --i 99999 would fill more than 2000000 count entries: "
+        "the sum of (i + 1)**2 over its weights is 10000000000\n"
+    )
+    # one weight fills (i + 1)**2 entries: 1414**2 = 1999396 is admitted, 1415**2 is not
+    assert run(capsys, "homology", "--k", "2", "--i", "1414")[0] == 2
+    assert run(capsys, "homology", "--k", "5000", "--i", "4000")[0] == 2
+    assert run(capsys, "homology", "--k", "2", "--i", "0..10000000000000000000000")[0] == 2
+    assert started == []
+    assert run(capsys, "homology", "--k", "2", "--i", "1413")[0] == 0
+    assert started == [1413, 1413]
+    # weights 0..150 at k=5 fill 1159076 entries
+    started.clear()
+    assert run(capsys, "homology", "--k", "5", "--i", "0..150")[0] == 0
+    assert len(started) == 2 * 151
+    assert run(capsys, "homology", "--k", "5", "--i", "0..181")[0] == 2
+    assert len(started) == 2 * 151
 
 
 def test_verify_refuses_above_the_cell_budget_before_enumerating(capsys, monkeypatch):
@@ -218,17 +243,21 @@ def test_verify_refuses_above_the_cell_budget_before_enumerating(capsys, monkeyp
     code, out, err = run(capsys, "verify", "--k", "5", "--max-i", "18")
     assert (code, out, started) == (2, "", [])
     assert err == (
-        "error: verify --k 5 --max-i 18 would check more than 100000 cells: "
-        "weights 0..17 hold 164783\n"
+        "error: verify --k 5 --max-i 18 would check more than 100000000: "
+        "the cells of weights 0..17 weigh 172552284, (l + 1)**3 each in degree l\n"
     )
-    # the budget admits k=4 and k=5 up to weight 16 and refuses k=5 at 17
+    # a cell of degree l weighs (l + 1)**3: the budget admits k=4 and k=5 up to
+    # weight 16 and refuses k=5 at 17
     assert run(capsys, "verify", "--k", "4", "--max-i", "16")[0] == 0
     assert run(capsys, "verify", "--k", "5", "--max-i", "16")[0] == 0
     assert started == [range(17), range(17)]
     assert run(capsys, "verify", "--k", "5", "--max-i", "17")[0] == 2
-    # k=2 holds two cells per weight: refused at weight 50,000, whatever --max-i says
+    # k=2 holds two cells per weight, in degrees i - 1 and i: weight 100 is
+    # admitted, and the sum passes the budget at weight 118, whatever --max-i says
+    assert run(capsys, "verify", "--k", "2", "--max-i", "100")[0] == 0
+    assert run(capsys, "verify", "--k", "2", "--max-i", "200")[0] == 2
     assert run(capsys, "verify", "--k", "2", "--max-i", str(10**18))[0] == 2
-    assert len(started) == 2
+    assert started == [range(17), range(17), range(101)]
 
 
 def test_verdict_large_prime_is_bounded(capsys):

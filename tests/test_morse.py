@@ -2,8 +2,9 @@
 
 Every fact the module docstring of ``cycbar.homology`` argues is checked
 here against enumeration: the matching on every cell of small weights,
-its local steps over every pair (a_t, a_{t+1}) for small k, and the
-groups against the elimination and against the closed form.
+its local steps over every pair (a_t, a_{t+1}) for small k, its critical
+cells against the generated closure, the walk's cells against repeats,
+and the groups against the elimination and against the closed form.
 """
 
 from itertools import product
@@ -52,26 +53,28 @@ def test_matching_on_enumerated_cells():
             critical = set()
             for l, block in enumerate(blocks):
                 for s in block:
-                    kind, t, q = _morse_cell(s, k)
+                    kind, t = _morse_cell(s, k)
+                    q = t // 2
                     assert s[1:t] == (1, k - 1) * q, (k, s)
                     if kind == "critical":
                         critical.add(s)
                     elif kind == "lower":
                         u = _split(s, t)
                         assert u in cells[l + 1], (k, s)
-                        assert _morse_cell(u, k) == ("upper", t, q), (k, s)
+                        assert _morse_cell(u, k) == ("upper", t), (k, s)
                         assert _incidence(bar, u, s) == (-1) ** t, (k, s)
                     else:
                         f = bar.face(s, t)
                         assert f in cells[l - 1], (k, s)
-                        assert _morse_cell(f, k) == ("lower", t, q), (k, s)
+                        assert _morse_cell(f, k) == ("lower", t), (k, s)
                         assert _split(f, t) == s, (k, s)
             assert critical == _critical_by_formula(k, i), (k, i)
             assert len(critical) == (1 if i == 0 else 2)
 
 
 def _key(s, k):
-    return s[0], _morse_cell(s, k)[2]
+    # q, the (1, k-1) pairs the scan passed, is t // 2
+    return s[0], _morse_cell(s, k)[1] // 2
 
 
 @pytest.mark.parametrize("k", range(2, 8))
@@ -88,7 +91,8 @@ def test_local_steps_over_every_pair(k):
         shapes = [prefix + (x,) for x in entries]
         shapes += [prefix + (x, y) + rest for x, y in product(entries, entries) for rest in rests]
         for s in shapes:
-            kind, t_s, q_s = _morse_cell(s, k)
+            kind, t_s = _morse_cell(s, k)
+            q_s = t_s // 2
             x = s[t]
             y = s[t + 1] if t + 1 < len(s) else None
             if x >= 2:
@@ -99,7 +103,7 @@ def test_local_steps_over_every_pair(k):
             elif y <= k - 2:
                 assert (kind, t_s, q_s) == ("upper", t, q), s
                 f = bar.face(s, t)
-                assert _morse_cell(f, k) == ("lower", t, q) and _split(f, t) == s, s
+                assert _morse_cell(f, k) == ("lower", t) and _split(f, t) == s, s
                 continue
             else:
                 # a (1, k-1) pair: the scan passes it, so the key grows
@@ -108,7 +112,7 @@ def test_local_steps_over_every_pair(k):
             seen.add((x, y))
             u = _split(s, t)
             # the rule sends each partner to the other
-            assert _morse_cell(u, k) == ("upper", t, q), s
+            assert _morse_cell(u, k) == ("upper", t), s
             assert bar.face(u, t) == s
             for a in range(len(u)):
                 if a == t:
@@ -166,9 +170,37 @@ def test_morse_refuses_bad_input(k, i):
 
 
 def test_morse_flow_budget(monkeypatch):
-    # the flow of k=5, i=16 replaces 31 lower cells
-    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 31)
+    # the walk of k=5, i=16 pops 32 cells of degree 7: 256 faces
+    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 256)
     assert morse_homology(5, 16)[7] == AbelianGroup.free(1)
-    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 30)
-    with pytest.raises(ValueError, match="the Morse flow of weight 16 at k=5 replaced more than 30 cells"):
+    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 255)
+    with pytest.raises(ValueError, match="the Morse flow of weight 16 at k=5 took more than 255 faces"):
         morse_homology(5, 16)
+
+
+def test_walk_replaces_each_lower_cell_once(monkeypatch):
+    # every lower face the walk meets is pushed as its partner; none may come twice
+    met = []
+
+    def recording(s, k):
+        kind, t = _morse_cell(s, k)
+        if kind == "lower":
+            met.append(s)
+        return kind, t
+
+    monkeypatch.setattr(cycbar.homology, "_morse_cell", recording)
+    for k, i in [(k, i) for k in range(2, 9) for i in range(41)] + [(5, 100)]:
+        met.clear()
+        morse_homology(k, i)
+        assert len(met) == len(set(met)), (k, i)
+    assert len(met) == 10_605  # k=5, i=100
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_critical_cells_lie_in_the_generated_closure(k):
+    # the closure of (1, ..., 1) is a route to the cells independent of enumeration
+    bar = CyclicBar(k)
+    for i in range(1, 11):
+        blocks = bar.generated_cyclic_subset(i).simplices_by_degree
+        critical = {s for block in blocks for s in block if _morse_cell(s, k)[0] == "critical"}
+        assert critical == _critical_by_formula(k, i), (k, i)
