@@ -6,9 +6,9 @@ Commands:
   The basis sizes are counted (``cell_counts``) and the groups are read
   off the two critical cells of the a_0 Morse matching
   (``morse_homology``), so no simplex is listed and no matrix reduced.
-  A range whose counts fill more than ``HOMOLOGY_COUNT_BUDGET`` entries,
-  and a weight whose walk takes more than ``MORSE_FLOW_BUDGET`` faces,
-  are refused.
+  A run takes at most ``MORSE_FLOW_BUDGET`` steps, one per count entry
+  or walked face: the counts are charged first, so a range they pass
+  starts nothing, and each weight's walk draws on what is left.
 * ``verify``: computed homology of every weight 1..max_i against the
   closed form (Z in degrees 2d, 2d+1, or Z/k in degree 2d+1 when k | i),
   plus the operator-identity and alternating-count suites.  It stays
@@ -52,7 +52,7 @@ from itertools import chain
 from math import inf
 
 from .cyclic_bar import CyclicBar, cell_counts, weight_identity_violations
-from .homology import MORSE_FLOW_BUDGET, ZERO_GROUP, AbelianGroup, chain_complex, morse_homology, verify_weight_piece
+from .homology import MORSE_FLOW_BUDGET, ZERO_GROUP, AbelianGroup, _morse_walk, chain_complex, verify_weight_piece
 from .tate_tp import _exponent, _require_table, nil_invariance_report
 
 __all__ = ["main", "UsageError"]
@@ -65,8 +65,6 @@ class UsageError(ValueError):
 # the most work verify takes on, weighed before any cell is listed: a cell of degree l
 # weighs (l + 1)**3, since its identity suite takes ~l**2 faces of l + 1 entries each
 VERIFY_WORK_BUDGET = 100_000_000
-# the most entries homology's counts fill: cell_counts(k, i) fills (i + 1)**2
-HOMOLOGY_COUNT_BUDGET = 2_000_000
 
 
 def _parse_weight_range(text):
@@ -105,11 +103,10 @@ def build_parser():
     sp = sub.add_parser(
         "homology",
         help="homology of weight components, from the two critical cells of the a_0 Morse matching",
-        description="Basis sizes of weight components, counted by a recurrence, and their "
-        "integral homology, read off the two critical cells of the a_0 Morse matching with one "
-        "flow per weight: no simplex is listed and no matrix reduced.  A range of more than "
-        f"{HOMOLOGY_COUNT_BUDGET} count entries, (i + 1)**2 per weight, and a weight whose flow "
-        f"takes more than {MORSE_FLOW_BUDGET} faces are refused.  verify stays exhaustive.",
+        description="Basis sizes of weight components, counted, and their integral homology, read "
+        "off the two critical cells of the a_0 Morse matching: nothing is listed or reduced.  A "
+        f"run of more than {MORSE_FLOW_BUDGET} steps is refused: one per count entry, (i + 1)**2 "
+        "per weight, all charged first, and one per face a walk takes.  verify stays exhaustive.",
     )
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--i", required=True, help="weight or inclusive range A..B")
@@ -152,7 +149,7 @@ def build_parser():
 
 
 def _check_args(args):
-    """Refuse out-of-range values in a fixed order; parse --i into i_lo, i_hi.
+    """Refuse out-of-range values in a fixed order; ``homology`` parses --i itself.
 
     Each subcommand has only its own options, so an absent one passes.
     """
@@ -161,15 +158,6 @@ def _check_args(args):
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if given.get("k", 2) < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
-    if "i" in given:
-        lo, hi = args.i_lo, args.i_hi = _parse_weight_range(args.i)
-        # the sum of (i + 1)**2 over lo..hi, as 1 + 4 + ... + m**2 = m(m+1)(2m+1)/6
-        entries = ((hi + 1) * (hi + 2) * (2 * hi + 3) - lo * (lo + 1) * (2 * lo + 1)) // 6
-        if entries > HOMOLOGY_COUNT_BUDGET:
-            raise UsageError(
-                f"homology --k {args.k} --i {args.i} would fill more than {HOMOLOGY_COUNT_BUDGET} "
-                f"count entries: the sum of (i + 1)**2 over its weights is {entries}"
-            )
     if given.get("max_i", 1) < 1:
         raise UsageError(f"--max-i must be >= 1, got {args.max_i}")
     if given.get("p", 2) < 2:
@@ -180,17 +168,6 @@ def _check_args(args):
 
 def _group_node(group):
     return {"rank": group.rank, "torsion": list(group.torsion), "name": str(group)}
-
-
-def _homology_entry(k, i):
-    groups = morse_homology(k, i)
-    return {
-        "i": i,
-        "degrees": [
-            {"degree": l, "basis_size": size, "homology": _group_node(groups[l])}
-            for l, size in enumerate(cell_counts(k, i))
-        ],
-    }
 
 
 def _verify_entry(cx):
@@ -282,10 +259,24 @@ def _verdict_lines(node):
 
 
 def cmd_homology(args):
-    return {
-        "config": {"k": args.k, "i_min": args.i_lo, "i_max": args.i_hi},
-        "components": [_homology_entry(args.k, i) for i in range(args.i_lo, args.i_hi + 1)],
-    }
+    """Counts and groups of the weights of --i, in at most ``MORSE_FLOW_BUDGET`` steps in all."""
+    k, (lo, hi), left = args.k, _parse_weight_range(args.i), MORSE_FLOW_BUDGET
+    refused = f"homology --k {k} --i {args.i} takes more than its {MORSE_FLOW_BUDGET} steps"
+    for i in range(lo, hi + 1):  # every count, (i + 1)**2 entries, is charged before any walk
+        left -= (i + 1) ** 2
+        if left < 0:
+            raise UsageError(f"{refused}: count entries alone pass them at weight {i}")
+    components = []
+    for i in range(lo, hi + 1):
+        groups, left = _morse_walk(k, i, left)
+        if groups is None:
+            raise UsageError(f"{refused}: count entries and walked faces pass them at weight {i}")
+        degrees = [
+            {"degree": l, "basis_size": size, "homology": _group_node(groups[l])}
+            for l, size in enumerate(cell_counts(k, i))
+        ]
+        components.append({"i": i, "degrees": degrees})
+    return {"config": {"k": k, "i_min": lo, "i_max": hi}, "components": components}
 
 
 def _homology_lines(tree):

@@ -63,8 +63,11 @@ once as its partner, an upper face is dropped, since no path leaves it,
 and a face on the low cell, the only critical cell in its degree, adds
 its +-1.  The flow is linear, so any order gives the same coefficient,
 and the matching is acyclic, so every path ends.  It is 0 when k does
-not divide i and +-k when it does.  These facts are checked against
-enumeration and elimination in the tests, not proved by the code.
+not divide i and +-k when it does.  ``morse_homology`` refuses a walk
+past ``MORSE_FLOW_BUDGET`` faces; ``cycbar homology`` spends that total
+once per run, on its cell counts first and then on every walk.  These
+facts are checked against enumeration and elimination in the tests, not
+proved by the code.
 """
 
 from dataclasses import dataclass
@@ -406,7 +409,7 @@ def homology_groups(cx):
     return out
 
 
-# the most faces, summed over the cells it pops, one weight's Morse walk may take
+# the most faces one morse_homology walk may pop, and the most steps of a cycbar homology run
 MORSE_FLOW_BUDGET = 3_000_000
 
 def _morse_cell(s, k):
@@ -431,28 +434,32 @@ def morse_homology(k, i):
     two critical cells of the matching in the module docstring and one
     walk of the gradient paths from the high cell; the faces come from
     ``CyclicBar.face``.  Nothing is enumerated and nothing is reduced.
-    A walk is refused with a ``ValueError`` once the faces of the cells
-    it pops pass ``MORSE_FLOW_BUDGET``.
+    A walk past ``MORSE_FLOW_BUDGET`` faces is refused with a ``ValueError``.
     """
+    groups, _ = _morse_walk(k, i, MORSE_FLOW_BUDGET)
+    if groups is None:
+        raise ValueError(f"the Morse flow of weight {i} at k={k} took more than {MORSE_FLOW_BUDGET} faces")
+    return groups
+
+
+def _morse_walk(k, i, budget):
+    """The groups of ``morse_homology``, or None past ``budget`` faces, and what is left of it."""
     bar = CyclicBar(k)
     _require_nonnegative_weight(i)
-    groups = dict.fromkeys(range(i + 1), ZERO_GROUP)
     if i == 0:
-        groups[0] = AbelianGroup.free(1)
-        return groups
+        return {0: AbelianGroup.free(1)}, budget
+    groups = dict.fromkeys(range(i + 1), ZERO_GROUP)
     d = (i - 1) // k
     odd = ((i - 1) % k,) + (1, k - 1) * d + (1,)
     even = (i % k,) + (1, k - 1) * (i // k)
     low, high = (even, odd) if i % k else (odd, even)
-    m = faces = 0  # m: the low cell's coefficient in the Morse boundary of the high cell
+    m = 0  # the low cell's coefficient in the Morse boundary of the high cell
     stack = [(high, 1, None)]  # each entry adds c times the boundary of u, without its face d_skip
     while stack:
         u, c, skip = stack.pop()
-        faces += len(u)
-        if faces > MORSE_FLOW_BUDGET:
-            raise ValueError(
-                f"the Morse flow of weight {i} at k={k} took more than {MORSE_FLOW_BUDGET} faces"
-            )
+        budget -= len(u)
+        if budget < 0:
+            return None, budget
         for a in range(len(u)):
             if a == skip:
                 continue
@@ -470,7 +477,7 @@ def morse_homology(k, i):
     groups[n] = AbelianGroup.cyclic(abs(m)) if m else AbelianGroup.free(1)
     if not m:
         groups[n + 1] = AbelianGroup.free(1)
-    return groups
+    return groups, budget
 
 
 @dataclass

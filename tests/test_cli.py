@@ -200,40 +200,56 @@ def test_homology_large_weight(capsys):
 
 
 def test_homology_refuses_a_long_morse_flow(capsys, monkeypatch):
-    # the walks of k=5 take 224 faces at i=15 and 256 at i=16, 78 or fewer below;
-    # the first weight over the budget is refused and nothing is written
-    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 223)
-    assert run(capsys, "homology", "--k", "5", "--i", "1..16") == (
-        2, "", "error: the Morse flow of weight 15 at k=5 took more than 223 faces\n",
+    # k=5, i=15..16: 16**2 + 17**2 = 545 count entries, then walks of 224 and 256
+    # faces, 1025 steps in all; the run is refused where its one budget runs out
+    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 1025)
+    assert run(capsys, "homology", "--k", "5", "--i", "15..16")[0] == 0
+    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 1024)
+    assert run(capsys, "homology", "--k", "5", "--i", "15..16") == (
+        2, "", "error: homology --k 5 --i 15..16 takes more than its 1024 steps: "
+        "count entries and walked faces pass them at weight 16\n",
     )
-    assert run(capsys, "homology", "--k", "5", "--i", "1..14")[0] == 0
-    monkeypatch.setattr(cycbar.homology, "MORSE_FLOW_BUDGET", 256)
-    assert run(capsys, "homology", "--k", "5", "--i", "1..16")[0] == 0
+    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 768)
+    code, out, err = run(capsys, "homology", "--k", "5", "--i", "15..16")
+    assert (code, out) == (2, "") and err.endswith("at weight 15\n")
+
+
+def test_homology_budget_spans_the_run(capsys):
+    # k=5 admits weight 150 alone, but weights 0..150 together run out at weight 90;
+    # k=2 walks two cells per weight, so its counts set its edge
+    assert run(capsys, "homology", "--k", "5", "--i", "0..150") == (
+        2, "", "error: homology --k 5 --i 0..150 takes more than its 3000000 steps: "
+        "count entries and walked faces pass them at weight 90\n",
+    )
+    code, out, _ = run(capsys, "homology", "--k", "2", "--i", "0..200", "--format", "json")
+    assert code == 0
+    assert [c["i"] for c in json.loads(out)["components"]] == list(range(201))
 
 
 def test_homology_refuses_above_the_count_budget_before_starting(capsys, monkeypatch):
+    # every weight's count, (i + 1)**2 entries, is charged before any weight starts,
+    # so a range whose counts alone pass the budget neither counts nor walks
     started = []
     monkeypatch.setattr(cycbar.cli, "cell_counts", lambda k, i: started.append(i) or [])
-    monkeypatch.setattr(cycbar.cli, "morse_homology", lambda k, i: started.append(i) or {})
+    monkeypatch.setattr(cycbar.cli, "_morse_walk", lambda k, i, left: (started.append(i) or {}, left))
     code, out, err = run(capsys, "homology", "--k", "100000", "--i", "99999")
     assert (code, out, started) == (2, "", [])
     assert err == (
-        "error: homology --k 100000 --i 99999 would fill more than 2000000 count entries: "
-        "the sum of (i + 1)**2 over its weights is 10000000000\n"
+        "error: homology --k 100000 --i 99999 takes more than its 3000000 steps: "
+        "count entries alone pass them at weight 99999\n"
     )
-    # one weight fills (i + 1)**2 entries: 1414**2 = 1999396 is admitted, 1415**2 is not
-    assert run(capsys, "homology", "--k", "2", "--i", "1414")[0] == 2
-    assert run(capsys, "homology", "--k", "5000", "--i", "4000")[0] == 2
-    assert run(capsys, "homology", "--k", "2", "--i", "0..10000000000000000000000")[0] == 2
+    # weight i fills (i + 1)**2 entries: 1731 fills 2999824 and is admitted, 1732 is not;
+    # weights 0..206 fill 2978040 and 0..207 fill 3021304
+    assert run(capsys, "homology", "--k", "2", "--i", "1732")[0] == 2
+    assert run(capsys, "homology", "--k", "5", "--i", "0..207")[0] == 2
+    code, _, err = run(capsys, "homology", "--k", "2", "--i", "0..10000000000000000000000")
+    assert code == 2 and err.endswith("count entries alone pass them at weight 207\n")
     assert started == []
-    assert run(capsys, "homology", "--k", "2", "--i", "1413")[0] == 0
-    assert started == [1413, 1413]
-    # weights 0..150 at k=5 fill 1159076 entries
+    assert run(capsys, "homology", "--k", "2", "--i", "1731")[0] == 0
+    assert started == [1731, 1731]
     started.clear()
-    assert run(capsys, "homology", "--k", "5", "--i", "0..150")[0] == 0
-    assert len(started) == 2 * 151
-    assert run(capsys, "homology", "--k", "5", "--i", "0..181")[0] == 2
-    assert len(started) == 2 * 151
+    assert run(capsys, "homology", "--k", "5", "--i", "0..206")[0] == 0
+    assert len(started) == 2 * 207
 
 
 def test_verify_refuses_above_the_cell_budget_before_enumerating(capsys, monkeypatch):
