@@ -191,6 +191,23 @@ class CyclicBar:
         truncated monoid this recovers the full weight component;
         computing it by closure gives an independent route to the same
         lists.
+
+        The walk visits nondegenerate simplices only.  From an l-simplex
+        s it takes, through the operators of ``self``, the l + 1 faces,
+        the rotation t(s), and t(s_l(s)) = (0, s_0, ..., s_l) when l < i,
+        and keeps an image that is not the basepoint, not yet seen and
+        nondegenerate.  That finds the same set as a walk through every
+        degenerate simplex up to degree i:
+
+        * faces that merge runs of ones without wrapping reach every cell
+          with a_0 >= 1, a composition of i into parts in [1, k-1]; no
+          merge on the way overflows, since each partial sum of a run is
+          at most the part it builds;
+        * t s_l of such a cell, of degree below i, reaches every cell
+          with a_0 = 0;
+        * every operator keeps the weight and the walk never passes
+          degree i, so no other nondegenerate simplex lies in the
+          closure.
         """
         if not _is_integer(i) or i < 1:
             raise ValueError(f"the generator needs weight >= 1, got {i!r}")
@@ -200,22 +217,18 @@ class CyclicBar:
         while stack:
             s = stack.pop()
             top = len(s) - 1
-            images = [self.cyclic(s)]
-            if top >= 1:
-                images.extend(self.face(s, a) for a in range(top + 1))
-            # the closure may pass through degenerate simplices one
-            # degree above a target, but never above degree i
+            images = [self.face(s, a) for a in range(top + 1)] if top else []
+            images.append(self.cyclic(s))
             if top < i:
-                images.extend(self.degeneracy(s, a) for a in range(top + 1))
+                images.append(self.cyclic(self.degeneracy(s, top)))
             for t in images:
-                if t is BASEPOINT or t in seen:
+                if t is BASEPOINT or t in seen or is_degenerate(t):
                     continue
                 seen.add(t)
                 stack.append(t)
         blocks = [[] for _ in range(i + 1)]
         for s in seen:
-            if not is_degenerate(s):
-                blocks[len(s) - 1].append(s)
+            blocks[len(s) - 1].append(s)
         return WeightComponent(self.k, i, tuple(tuple(sorted(b)) for b in blocks))
 
 
@@ -245,18 +258,23 @@ def cell_counts(k, i):
     An l-simplex is a_0 in [0, k-1] followed by a composition of i - a_0
     into l parts in [1, k-1], so the count in degree l is
     c_l(i) = sum over a_0 of comp(i - a_0, l, k-1).  The row
-    comp(m, l, k-1), m = 0..i, is made from the row of l - 1 parts by
-    prefix sums: O(i) additions per degree, O(i^2) per weight.
+    comp(m, l, k-1) is nonzero only on the band l <= m <= l(k-1), so it
+    is kept for m in [l, min(i, l(k-1))] alone, and made from the band of
+    l - 1 parts by prefix sums: at most O(i) additions per degree, O(i^2)
+    per weight, and O(i) per weight at k = 2.
     """
     _require_order(k)
     _require_nonnegative_weight(i)
     hi = k - 1
-    row = [1] + [0] * i  # comp(m, 0, hi)
+    row = [1]  # comp(m, 0, hi) for m in [0, 0]
     counts = []
-    for _ in range(i + 1):
-        counts.append(sum(row[max(0, i - hi):]))
+    for l in range(i + 1):
+        # row[j] = comp(l + j, l, hi)
+        counts.append(sum(row[max(0, i - hi - l):]))
+        n = len(row)
         acc = [0, *accumulate(row)]
-        row = [acc[m] - acc[max(0, m - hi)] for m in range(i + 1)]
+        width = min(i, (l + 1) * hi) - l
+        row = [acc[min(n, j + 1)] - acc[max(0, j + 1 - hi)] for j in range(width)]
     return counts
 
 

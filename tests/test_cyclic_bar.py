@@ -1,5 +1,5 @@
 import re
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,10 +155,50 @@ def test_enumerate_refuses_booleans():
 
 
 def test_generated_equals_enumerated_small():
+    for k in range(2, 8):
+        bar = CyclicBar(k)
+        for i in range(1, 13):
+            assert bar.generated_cyclic_subset(i) == bar.enumerate_weight_component(i), (k, i)
+
+
+def _reference_closure(bar, i):
+    """The generated closure as it read before it walked nondegenerate cells only.
+
+    Closes the generator under every face, degeneracy and rotation,
+    degenerate simplices up to degree i included, and keeps the
+    nondegenerate members.  It is the oracle that
+    ``generated_cyclic_subset`` must match.
+    """
+    start = (1,) * i
+    seen = {start}
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        top = len(s) - 1
+        images = [bar.cyclic(s)]
+        if top >= 1:
+            images.extend(bar.face(s, a) for a in range(top + 1))
+        # the closure may pass through degenerate simplices one
+        # degree above a target, but never above degree i
+        if top < i:
+            images.extend(bar.degeneracy(s, a) for a in range(top + 1))
+        for t in images:
+            if t is BASEPOINT or t in seen:
+                continue
+            seen.add(t)
+            stack.append(t)
+    blocks = [[] for _ in range(i + 1)]
+    for s in seen:
+        if not is_degenerate(s):
+            blocks[len(s) - 1].append(s)
+    return WeightComponent(bar.k, i, tuple(tuple(sorted(b)) for b in blocks))
+
+
+def test_generated_equals_reference_closure():
     for k in (2, 3, 4):
         bar = CyclicBar(k)
-        for i in range(1, 7):
-            assert bar.generated_cyclic_subset(i) == bar.enumerate_weight_component(i)
+        for i in range(1, 8):
+            assert bar.generated_cyclic_subset(i) == _reference_closure(bar, i), (k, i)
 
 
 def test_cell_counts_match_enumeration():
@@ -186,6 +226,27 @@ def test_cell_counts_at_large_weights():
         assert sum(c * (l + 1) ** 3 for row in counts for l, c in enumerate(row)) == weight
     # 3.6e28 cells at k=5, i=100, without listing one
     assert sum(cell_counts(5, 100)) == 35887606673100025828208205026
+
+
+def _reference_cell_counts(k, i):
+    """``cell_counts`` as it read before it kept each row to its nonzero band.
+
+    Every degree's row comp(m, l, k-1) is filled for all m = 0..i.
+    """
+    hi = k - 1
+    row = [1] + [0] * i  # comp(m, 0, hi)
+    counts = []
+    for _ in range(i + 1):
+        counts.append(sum(row[max(0, i - hi):]))
+        acc = [0, *accumulate(row)]
+        row = [acc[m] - acc[max(0, m - hi)] for m in range(i + 1)]
+    return counts
+
+
+def test_cell_counts_match_full_rows():
+    for k in range(2, 9):
+        for i in range(61):
+            assert cell_counts(k, i) == _reference_cell_counts(k, i), (k, i)
 
 
 @pytest.mark.parametrize("k, i", [(1, 3), (True, 3), (3, -1), (3, 2.0), (3, True)])
