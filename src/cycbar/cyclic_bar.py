@@ -23,8 +23,8 @@ i >= 1 therefore lives in degrees <= i, with the single top simplex
 (0, 1, ..., 1), and weight 0 is just the unit 0-simplex.
 """
 
-from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 
 from .monoid import BASEPOINT
 
@@ -72,8 +72,59 @@ def is_degenerate(s):
     return any(a == 0 for a in s[1:])
 
 
-@dataclass(frozen=True)
-class WeightComponent:
+class _Value:
+    """Base of the package's immutable value classes; their fields are their ``__slots__``.
+
+    Two instances are equal when they are of the same class and their
+    fields are equal, the hash is that of the field tuple, the repr reads
+    ``Name(field=value, ...)``, and pickling and copying call the
+    constructor with the fields in order.  Assigning or deleting a field
+    raises ``AttributeError``, so each ``__init__`` sets its fields with
+    ``object.__setattr__``; a subclass that must stay mutable puts back
+    ``object.__setattr__`` and ``object.__delattr__``.  Every subclass has
+    at least two fields, which ``attrgetter`` needs to return a tuple.
+
+    Written out rather than made by ``dataclasses``: that module imports
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``, and builds each class by
+    ``exec``, and every ``cycbar`` command is a fresh interpreter.  With
+    seven dataclasses, ``-X importtime`` put ``import cycbar`` at ~23 ms,
+    ~12.5 ms of it in ``dataclasses`` and most of the rest in building the
+    classes; written out, it takes ~2.3 ms (Python 3.11, 2-vCPU Xeon).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field names, base classes' first, also for positional patterns
+        cls.__match_args__ = tuple(
+            name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ())
+        )
+        cls._astuple = property(attrgetter(*cls.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple == other._astuple
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._astuple))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightComponent(_Value):
     """The simplices of one weight summand, listed per degree.
 
     ``simplices_by_degree[l]`` holds the nondegenerate l-simplices of total
@@ -82,9 +133,12 @@ class WeightComponent:
     (0,) for i = 0.
     """
 
-    k: int
-    i: int
-    simplices_by_degree: tuple = field(default=())
+    __slots__ = ("k", "i", "simplices_by_degree")
+
+    def __init__(self, k, i, simplices_by_degree=()):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "simplices_by_degree", simplices_by_degree)
 
     @property
     def top_degree(self):

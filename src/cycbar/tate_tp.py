@@ -22,10 +22,9 @@ vanishes integrally, and after inverting p it vanishes exactly when the
 exponents are bounded, which happens exactly when k is a power of p.
 """
 
-from dataclasses import dataclass
 from math import inf
 
-from .cyclic_bar import _is_integer, _require_order
+from .cyclic_bar import _is_integer, _require_order, _Value
 from .homology import ZERO_GROUP, AbelianGroup, _require_weight
 
 __all__ = [
@@ -128,14 +127,16 @@ def weight_piece_exponent(p, k, i):
     return weight_piece_tp(p, k, i, 1).exponent
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicFactor:
+class CyclicFactor(_Value):
     """One weight's contribution Z/p^exponent to an odd relative degree."""
 
-    p: int
-    weight: int
-    exponent: int
-    multiple_of_k: bool
+    __slots__ = ("p", "weight", "exponent", "multiple_of_k")
+
+    def __init__(self, p, weight, exponent, multiple_of_k):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "multiple_of_k", multiple_of_k)
 
     @property
     def is_trivial(self):
@@ -180,8 +181,7 @@ def weight_piece_tp(p, k, i, j):
     return _factor(p, k, i, j)
 
 
-@dataclass(frozen=True)
-class NilInvariance:
+class NilInvariance(_Value):
     """Verdicts on whether killing the nilpotent variable is invisible.
 
     ``integral_iso`` / ``p_inverted_iso`` record whether the projection
@@ -194,18 +194,25 @@ class NilInvariance:
     topological negative cyclic homology.
     """
 
-    p: int
-    k: int
-    integral_iso: bool
-    p_inverted_iso: bool
-    witness_weight: int
-    witness_exponent: int
-    exponent_sup: object
-    remark: str = NEGATIVE_CYCLIC_REMARK
+    __slots__ = (
+        "p", "k", "integral_iso", "p_inverted_iso", "witness_weight", "witness_exponent", "exponent_sup", "remark"
+    )
+
+    def __init__(
+        self, p, k, integral_iso, p_inverted_iso, witness_weight, witness_exponent, exponent_sup,
+        remark=NEGATIVE_CYCLIC_REMARK,
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "integral_iso", integral_iso)
+        object.__setattr__(self, "p_inverted_iso", p_inverted_iso)
+        object.__setattr__(self, "witness_weight", witness_weight)
+        object.__setattr__(self, "witness_exponent", witness_exponent)
+        object.__setattr__(self, "exponent_sup", exponent_sup)
+        object.__setattr__(self, "remark", remark)
 
 
-@dataclass(frozen=True)
-class TPReport:
+class TPReport(_Value):
     """A truncated factor table for one degree, plus the global verdicts.
 
     For odd j the true group is the product over all weights i >= 1 of
@@ -215,13 +222,16 @@ class TPReport:
     complete and empty.
     """
 
-    p: int
-    k: int
-    j: int
-    truncation: int
-    truncated: bool
-    factors: tuple
-    verdicts: NilInvariance
+    __slots__ = ("p", "k", "j", "truncation", "truncated", "factors", "verdicts")
+
+    def __init__(self, p, k, j, truncation, truncated, factors, verdicts):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "truncated", truncated)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "verdicts", verdicts)
 
 
 def _require_table(p, k, j, truncation):

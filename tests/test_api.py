@@ -1,9 +1,34 @@
-"""The package's public surface: its names, where they live, its version."""
+"""The package's public surface: its names, where they live, its version,
+its value classes, and what importing it loads."""
+
+import copy
+import pickle
+import subprocess
+import sys
+from math import inf
+from pathlib import Path
+
+import pytest
 
 import cycbar
 import cycbar.cyclic_bar
 import cycbar.homology
 import cycbar.tate_tp
+from cycbar import (
+    AbelianGroup,
+    CyclicBar,
+    CyclicFactor,
+    NilInvariance,
+    WeightComponent,
+    WeightPieceReport,
+    chain_complex,
+    nil_invariance_report,
+    relative_tp,
+    verify_weight_piece,
+)
+from cycbar.tate_tp import NEGATIVE_CYCLIC_REMARK
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every public name, under the module that defines or re-exports it
 HOMES = {
@@ -58,3 +83,103 @@ def test_public_names_are_the_module_objects():
 
 def test_version():
     assert cycbar.__version__ == "0.1.0"
+
+
+REMARK_REPR = repr(NEGATIVE_CYCLIC_REMARK)
+
+
+def _values():
+    """One instance of each value class, with its repr as it read when the classes were dataclasses."""
+    wc = CyclicBar(3).enumerate_weight_component(3)
+    report = verify_weight_piece(chain_complex(CyclicBar(2).enumerate_weight_component(2)))
+    return [
+        (WeightComponent(3, 0), "WeightComponent(k=3, i=0, counts=[])"),
+        (wc, "WeightComponent(k=3, i=3, counts=[0, 2, 3, 1])"),
+        (AbelianGroup(2, (2, 4)), "AbelianGroup(rank=2, torsion=(2, 4))"),
+        (chain_complex(wc), "ChainComplex(k=3, i=3, dims=[0, 2, 3, 1])"),
+        (
+            report,
+            "WeightPieceReport(k=2, i=2, computed={0: AbelianGroup(rank=0, torsion=()), "
+            "1: AbelianGroup(rank=0, torsion=(2,)), 2: AbelianGroup(rank=0, torsion=())}, "
+            "expected={1: AbelianGroup(rank=0, torsion=(2,))}, mismatched_degrees=())",
+        ),
+        (CyclicFactor(2, 4, 2, False), "CyclicFactor(p=2, weight=4, exponent=2, multiple_of_k=False)"),
+        (
+            nil_invariance_report(2, 6),
+            "NilInvariance(p=2, k=6, integral_iso=False, p_inverted_iso=False, witness_weight=6, "
+            f"witness_exponent=1, exponent_sup=inf, remark={REMARK_REPR})",
+        ),
+        (
+            relative_tp(2, 3, 1, 2),
+            "TPReport(p=2, k=3, j=1, truncation=2, truncated=True, factors=("
+            "CyclicFactor(p=2, weight=1, exponent=0, multiple_of_k=False), "
+            "CyclicFactor(p=2, weight=2, exponent=1, multiple_of_k=False)), "
+            "verdicts=NilInvariance(p=2, k=3, integral_iso=False, p_inverted_iso=False, witness_weight=2, "
+            f"witness_exponent=1, exponent_sup=inf, remark={REMARK_REPR}))",
+        ),
+    ]
+
+
+def test_value_classes_keep_their_contract():
+    classes = set()
+    for value, want in _values():
+        cls = type(value)
+        classes.add(cls)
+        assert repr(value) == want
+        names = cls.__match_args__
+        fields = tuple(getattr(value, name) for name in names)
+        assert not hasattr(value, "__dict__"), cls
+        # equal copies, positional and by keyword, compare and hash equal
+        for same in (cls(*fields), cls(**dict(zip(names, fields)))):
+            assert same == value and not same != value
+            if cls is not WeightPieceReport:
+                assert hash(same) == hash(value) == hash(fields)
+        # the same fields under another class are another value
+        twin = type("Twin", (cls,), {"__slots__": ()})(*fields)
+        assert twin != value and value != twin and not twin == value
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(back) is cls and back == value and repr(back) == want
+        if cls is WeightPieceReport:
+            assert cls.__hash__ is None
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+            value.mismatched_degrees = (1,)
+            assert value.mismatched_degrees == (1,) and not value.matches
+            continue
+        for name, field in zip(names, fields):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+            assert getattr(value, name) is field
+    assert len(classes) == 7
+    assert WeightComponent(3, 0).simplices_by_degree == ()
+    assert AbelianGroup() == AbelianGroup(0, []) == AbelianGroup.free(0)
+    assert AbelianGroup(0, [2, 4]).torsion == (2, 4)
+    assert NilInvariance(2, 6, False, False, 6, 1, inf).remark == NEGATIVE_CYCLIC_REMARK
+    for args, message in [
+        ((-1,), "rank must be a nonnegative integer, got -1"),
+        ((True,), "rank must be a nonnegative integer, got True"),
+        ((1.0,), "rank must be a nonnegative integer, got 1.0"),
+        ((0, (1,)), "torsion order 1 is not an integer >= 2"),
+        ((0, (2.0,)), "torsion order 2.0 is not an integer >= 2"),
+        ((0, (2, 3)), "torsion orders 2, 3 break divisibility"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            AbelianGroup(*args)
+        assert str(err.value) == message
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a site hook may import modules before cycbar does, so only what the
+    # import adds counts
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import cycbar, cycbar.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60, check=True
+    )
+    added = set(done.stdout.split())
+    assert {"cycbar", "cycbar.cli"} <= added
+    assert not {"dataclasses", "inspect"} & added, sorted(added)
