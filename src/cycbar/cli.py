@@ -24,12 +24,13 @@ Each handler checks its input and computes its report once, as a JSON
 tree, and prints nothing; a text generator bound beside it yields the
 text lines from the finished tree, one joined block of rows per 1,024
 weights for ``tp``'s table.  ``tp``'s ``factors`` is the one part left
-unmade: a ``_FactorTable`` that makes its records from the exponent
-rule 1,024 weights at a time while they are written, so no command
-holds the table.  ``main`` adds the ``tool`` and ``command``
-fields, renders only the format asked for, writes it to stdout or
-``--out`` (opened only once the report is ready), and picks the exit
-code.  ``--format json`` prints the bytes of
+unmade: a ``_FactorTable`` that makes its records 1,024 weights at a
+time while they are written, each block's keys from
+``tate_tp._exponent_block`` by p-adic striding, so no command holds the
+table and no weight costs a Python call.  ``main`` adds the ``tool``
+and ``command`` fields, renders only the format asked for, writes it
+to stdout or ``--out`` (opened only once the report is ready), and
+picks the exit code.  ``--format json`` prints the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` (sorted keys, so
 identical inputs give identical bytes): one ``json.dumps`` call per
 top-level value, and one per shape ``(exponent, k | i)`` of ``tp``'s
@@ -53,7 +54,7 @@ from math import inf
 
 from .cyclic_bar import CyclicBar, cell_counts, weight_identity_violations
 from .homology import MORSE_FLOW_BUDGET, ZERO_GROUP, AbelianGroup, _morse_walk, chain_complex, verify_weight_piece
-from .tate_tp import _exponent, _require_table, nil_invariance_report
+from .tate_tp import _exponent_block, _nil_invariance, _require_table, nil_invariance_report
 
 __all__ = ["main", "UsageError"]
 
@@ -359,13 +360,15 @@ _RECORD_BLOCK = 1024
 class _FactorTable:
     """``tp``'s factor table of an odd degree, made as it is read.
 
-    Iterating yields weights 1..truncate from tate_tp's exponent rule,
-    one list of ``(i, shape)`` pairs per ``_RECORD_BLOCK`` weights, so the
-    whole table never exists at once.  A record differs from the others
-    of its shape ``(exponent, k | i)`` only in its weight, and a table has
-    at most 2 * (log_p(truncate) + 1) shapes.  A shape is made once, at
-    its first weight: the record's JSON before and after the weight's
-    value, and the text row after the weight.
+    Iterating yields weights 1..truncate, one list of ``(i, shape)`` pairs
+    per ``_RECORD_BLOCK`` weights, so the whole table never exists at
+    once.  A record differs from the others of its shape
+    ``(exponent, k | i)`` only in its weight, and a table has at most
+    2 * (log_p(truncate) + 1) shapes.  Each block's shape keys come from
+    ``_exponent_block``, which strides over the multiples of p, p^2, ...
+    and k, so no weight costs a Python call.  A shape is made once, in the
+    first block that has it: the record's JSON before and after the
+    weight's value, and the text row after the weight.
     """
 
     def __init__(self, p, k, truncate):
@@ -384,13 +387,11 @@ class _FactorTable:
         p, k, stop = self.p, self.k, self.truncate + 1
         shapes = {}
         for start in range(1, stop, _RECORD_BLOCK):
-            block = []
-            for i in range(start, min(start + _RECORD_BLOCK, stop)):
-                key = _exponent(p, k, i), i % k == 0
-                if key not in shapes:
-                    shapes[key] = self._shape(*key)
-                block.append((i, shapes[key]))
-            yield block
+            end = min(start + _RECORD_BLOCK, stop)
+            keys = _exponent_block(p, k, start, end)
+            for key in set(keys) - shapes.keys():
+                shapes[key] = self._shape(*key)
+            yield list(zip(range(start, end), map(shapes.__getitem__, keys)))
 
 
 def cmd_tp(args):
@@ -407,7 +408,7 @@ def cmd_tp(args):
         "parity": "odd" if odd else "even",
         "truncated": odd,
         "factors": _FactorTable(p, k, truncate) if odd else [],
-        "verdicts": _verdict_node(nil_invariance_report(p, k)),
+        "verdicts": _verdict_node(_nil_invariance(p, k)),
     }
 
 

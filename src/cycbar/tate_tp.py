@@ -162,6 +162,28 @@ def _exponent(p, k, i):
     return _valuation(p, k if i % k == 0 else i)
 
 
+def _exponent_block(p, k, start, stop):
+    """The key ``(exponent, k | i)`` of each weight i in start..stop-1, by p-adic striding.
+
+    Every key starts as ``(0, False)``; for e = 1, 2, ... while p^e < stop
+    the multiples of p^e in the block are overwritten with ``(e, False)``,
+    so in increasing e each weight ends at ``(v_p(i), False)``; last, the
+    multiples of k get ``(v_p(k), True)``, the k | i case of the rule.
+    Each write repeats one key object, so no tuple is made per weight.
+    ``_exponent`` is the per-weight oracle; start >= 1, arguments checked.
+    """
+    n = stop - start
+    row = [(0, False)] * n
+    q, e = p, 1
+    while q < stop:
+        off = -start % q
+        row[off::q] = [(e, False)] * len(range(off, n, q))
+        q, e = q * p, e + 1
+    off = -start % k
+    row[off::k] = [(_valuation(p, k), True)] * len(range(off, n, k))
+    return row
+
+
 def _factor(p, k, i, j):
     """Weight i's degree-j factor, for arguments already checked."""
     return CyclicFactor(p, i, _exponent(p, k, i) if j % 2 == 1 else 0, i % k == 0)
@@ -252,7 +274,7 @@ def relative_tp(p, k, j, truncation):
     else:
         factors = ()
         truncated = False
-    return TPReport(p, k, j, truncation, truncated, factors, nil_invariance_report(p, k))
+    return TPReport(p, k, j, truncation, truncated, factors, _nil_invariance(p, k))
 
 
 def exponent_sup(p, k):
@@ -285,6 +307,11 @@ def nil_invariance_report(p, k):
     """
     _require_prime(p)
     _require_order(k)
+    return _nil_invariance(p, k)
+
+
+def _nil_invariance(p, k):
+    """``nil_invariance_report`` for arguments already checked."""
     sup = _exponent_sup(p, k)
     witness = k if k % p == 0 else p
     return NilInvariance(

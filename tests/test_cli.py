@@ -514,6 +514,35 @@ def test_tp_builds_no_factor_per_weight(capsys, monkeypatch):
         assert counts[0] == counts[1]
 
 
+def test_tp_table_makes_no_call_per_weight(capsys, monkeypatch):
+    # the exponents come a block at a time by striding, so --truncate 5000
+    # adds at most one valuation per block of 1,024 weights to --truncate 10
+    unpatched = {
+        (fmt, t): run(capsys, *_tp_argv(2, 6, 1, t, fmt)) for fmt in ("text", "json") for t in (10, 5000)
+    }
+    calls = []
+    for name in ("_valuation", "_exponent"):
+        real = getattr(tate_tp, name)
+        monkeypatch.setattr(tate_tp, name, lambda *a, real=real: calls.append(a) or real(*a))
+    for fmt in ("text", "json"):
+        counts = []
+        for t in (10, 5000):
+            calls.clear()
+            assert run(capsys, *_tp_argv(2, 6, 1, t, fmt)) == unpatched[fmt, t]
+            counts.append(len(calls))
+        assert counts[1] - counts[0] <= -(-5000 // 1024), counts
+
+
+def test_tp_decides_the_prime_once(capsys, monkeypatch):
+    calls = []
+    real = tate_tp._is_prime
+    monkeypatch.setattr(tate_tp, "_is_prime", lambda p: calls.append(p) or real(p))
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert run(capsys, *_tp_argv(999999999989, 6, 1, 10, fmt))[0] == 0
+        assert calls == [999999999989]
+
+
 def test_tp_encodes_each_record_shape_once(capsys, monkeypatch):
     # one json.dumps call per shape (exponent, k | i) and none per record;
     # at k = p^2 a table has the same 3 shapes at both truncations

@@ -3,7 +3,7 @@ import pickle
 from math import inf
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cycbar.tate_tp as tate_tp
 from cycbar.homology import (
@@ -15,6 +15,8 @@ from cycbar.homology import (
 from cycbar.tate_tp import (
     PRIME_BOUND,
     CyclicFactor,
+    _exponent,
+    _exponent_block,
     _is_prime,
     _require_prime,
     exponent_sup,
@@ -141,6 +143,50 @@ def test_weight_piece_exponent_rule():
             for i in range(1, 40):
                 want = val(p, k) if i % k == 0 else val(p, i)
                 assert weight_piece_exponent(p, k, i) == want
+
+
+def _block_windows(p):
+    """Windows (start, stop) at block starts and astride each power of p below 20,000."""
+    starts = {1, 1024 + 1, 3 * 1024 + 1}
+    q = p
+    while q < 20000:
+        starts |= {q - 1, q, q + 1, max(1, q - 1022), max(1, q - 1023)}
+        q *= p
+    return [(a, a + n) for a in sorted(starts) for n in (1, 1023, 1024)]
+
+
+def _exponent_keys(p, k, a, b):
+    return [(_exponent(p, k, i), i % k == 0) for i in range(a, b)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exponent_block_agrees_with_exponent(p):
+    # every k in 2..40 meets k = p^r, k = p^r * m and p not dividing k;
+    # the windows start at 1, at 1024 n + 1 and next to each power of p
+    windows = _block_windows(p)
+    for k in range(2, 41):
+        for a, b in windows:
+            assert _exponent_block(p, k, a, b) == _exponent_keys(p, k, a, b), (k, a, b)
+
+
+def test_exponent_block_at_a_large_prime():
+    # no power of p falls in the first windows; the last holds p itself
+    p = 999999999989
+    for k in (2, 3, 6, 12, p, 2 * p):
+        for a, b in ((1, 2), (1, 1024), (1, 1025), (1025, 2049), (p - 1000, p + 24)):
+            assert _exponent_block(p, k, a, b) == _exponent_keys(p, k, a, b), (k, a, b)
+    assert _exponent_block(p, 6, 5, 5) == []
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 999999999989]),
+    st.integers(2, 200),
+    st.integers(1, 10**6),
+    st.integers(0, 1024),
+)
+def test_exponent_block_random_windows(p, k, a, n):
+    assert _exponent_block(p, k, a, a + n) == _exponent_keys(p, k, a, a + n)
 
 
 def test_weight_piece_exponent_rejects_bad_input():
