@@ -42,8 +42,6 @@ failed), 2 for usage or validation errors, and for a failed write to
 stdout or ``--out``.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -73,16 +73,20 @@ def is_degenerate(s):
 
 
 class _Value:
-    """Base of the package's immutable value classes; their fields are their ``__slots__``.
+    """Base of the package's value classes: fields from ``__slots__``, defaults from ``_defaults``.
 
-    Two instances are equal when they are of the same class and their
-    fields are equal, the hash is that of the field tuple, the repr reads
-    ``Name(field=value, ...)``, and pickling and copying call the
-    constructor with the fields in order.  Assigning or deleting a field
-    raises ``AttributeError``, so each ``__init__`` sets its fields with
-    ``object.__setattr__``; a subclass that must stay mutable puts back
-    ``object.__setattr__`` and ``object.__delattr__``.  Every subclass has
-    at least two fields, which ``attrgetter`` needs to return a tuple.
+    The one constructor binds arguments to the fields by position, then by
+    name, and a field given neither way takes its ``_defaults`` entry; an
+    argument too many, an unknown or repeated name, or a missing field with
+    no default raises ``TypeError``.  Instances are equal when of the same
+    class with equal fields, hash as the field tuple, read
+    ``Name(field=value, ...)``, and pickle and copy through the
+    constructor.  Assigning or deleting a field raises ``AttributeError``,
+    so only the constructor sets fields, with ``object.__setattr__``; a
+    mutable subclass puts back ``object.__setattr__`` and
+    ``object.__delattr__``, and one that checks its arguments ends its own
+    ``__init__`` by calling this one.  Every subclass has at least two
+    fields, which ``attrgetter`` needs to return a tuple.
 
     Written out rather than made by ``dataclasses``: that module imports
     ``inspect``, ``ast``, ``dis`` and ``tokenize``, and builds each class by
@@ -93,6 +97,7 @@ class _Value:
     """
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -101,6 +106,21 @@ class _Value:
             name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ())
         )
         cls._astuple = property(attrgetter(*cls.__match_args__))
+
+    def __init__(self, *args, **kwargs):
+        qualname, names = self.__class__.__qualname__, self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{qualname} takes {len(names)} fields, got {len(args)}")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{qualname} has no field {name!r}")
+            if name in names[: len(args)]:
+                raise TypeError(f"{qualname} got field {name!r} twice")
+        values = {**self._defaults, **kwargs, **dict(zip(names, args))}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{qualname} is missing field {name!r}")
+            object.__setattr__(self, name, values[name])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -134,11 +154,7 @@ class WeightComponent(_Value):
     """
 
     __slots__ = ("k", "i", "simplices_by_degree")
-
-    def __init__(self, k, i, simplices_by_degree=()):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "simplices_by_degree", simplices_by_degree)
+    _defaults = {"simplices_by_degree": ()}
 
     @property
     def top_degree(self):

@@ -115,8 +115,7 @@ class AbelianGroup(_Value):
             if prev is not None and d % prev:
                 raise ValueError(f"torsion orders {prev}, {d} break divisibility")
             prev = d
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
+        super().__init__(rank, torsion)
 
     @classmethod
     def free(cls, rank):
@@ -297,12 +296,6 @@ class ChainComplex(_Value):
     """
 
     __slots__ = ("k", "i", "bases", "boundaries")
-
-    def __init__(self, k, i, bases, boundaries):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "boundaries", boundaries)
 
     @property
     def top_degree(self):
@@ -489,13 +482,6 @@ class WeightPieceReport(_Value):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(self, k, i, computed, expected, mismatched_degrees):
-        self.k = k
-        self.i = i
-        self.computed = computed
-        self.expected = expected
-        self.mismatched_degrees = mismatched_degrees
 
     @property
     def matches(self):

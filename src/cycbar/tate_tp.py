@@ -132,12 +132,6 @@ class CyclicFactor(_Value):
 
     __slots__ = ("p", "weight", "exponent", "multiple_of_k")
 
-    def __init__(self, p, weight, exponent, multiple_of_k):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "multiple_of_k", multiple_of_k)
-
     @property
     def is_trivial(self):
         return self.exponent == 0
@@ -219,19 +213,7 @@ class NilInvariance(_Value):
     __slots__ = (
         "p", "k", "integral_iso", "p_inverted_iso", "witness_weight", "witness_exponent", "exponent_sup", "remark"
     )
-
-    def __init__(
-        self, p, k, integral_iso, p_inverted_iso, witness_weight, witness_exponent, exponent_sup,
-        remark=NEGATIVE_CYCLIC_REMARK,
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "integral_iso", integral_iso)
-        object.__setattr__(self, "p_inverted_iso", p_inverted_iso)
-        object.__setattr__(self, "witness_weight", witness_weight)
-        object.__setattr__(self, "witness_exponent", witness_exponent)
-        object.__setattr__(self, "exponent_sup", exponent_sup)
-        object.__setattr__(self, "remark", remark)
+    _defaults = {"remark": NEGATIVE_CYCLIC_REMARK}
 
 
 class TPReport(_Value):
@@ -245,15 +227,6 @@ class TPReport(_Value):
     """
 
     __slots__ = ("p", "k", "j", "truncation", "truncated", "factors", "verdicts")
-
-    def __init__(self, p, k, j, truncation, truncated, factors, verdicts):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "truncated", truncated)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "verdicts", verdicts)
 
 
 def _require_table(p, k, j, truncation):

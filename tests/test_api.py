@@ -16,9 +16,11 @@ import cycbar.homology
 import cycbar.tate_tp
 from cycbar import (
     AbelianGroup,
+    ChainComplex,
     CyclicBar,
     CyclicFactor,
     NilInvariance,
+    TPReport,
     WeightComponent,
     WeightPieceReport,
     chain_complex,
@@ -26,6 +28,7 @@ from cycbar import (
     relative_tp,
     verify_weight_piece,
 )
+from cycbar.cyclic_bar import _Value
 from cycbar.tate_tp import NEGATIVE_CYCLIC_REMARK
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -170,12 +173,84 @@ def test_value_classes_keep_their_contract():
         assert str(err.value) == message
 
 
+def test_value_classes_share_one_constructor():
+    classes = [c for c in _Value.__subclasses__() if c.__module__.startswith("cycbar.")]
+    assert {type(value) for value, _ in _values()} == set(classes)
+    assert [c.__name__ for c in classes if "__init__" in vars(c)] == ["AbelianGroup"]
+    for cls in classes:
+        assert len(cls.__match_args__) >= 2, cls
+        assert cls.__match_args__ == cls.__slots__, cls
+
+
+def test_value_class_constructors_refuse_bad_arguments():
+    for value, _ in _values():
+        cls = type(value)
+        names = cls.__match_args__
+        fields = tuple(getattr(value, name) for name in names)
+        given = dict(zip(names, fields))
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*fields, None)
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*'bogus'"):
+            cls(*fields, bogus=None)
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*'{names[0]}'"):
+            cls(*fields, **{names[0]: fields[0]})
+        if cls is AbelianGroup:  # both of its fields have defaults
+            continue
+        for name in set(names) - set(cls._defaults):
+            without = {n: f for n, f in given.items() if n != name}
+            with pytest.raises(TypeError, match=f"^{cls.__name__} is missing field '{name}'$"):
+                cls(**without)
+    with pytest.raises(TypeError, match="^WeightComponent takes 3 fields, got 4$"):
+        WeightComponent(3, 0, (), None)
+    with pytest.raises(TypeError, match="^CyclicFactor got field 'weight' twice$"):
+        CyclicFactor(2, 4, 2, False, weight=4)
+    with pytest.raises(TypeError, match="^TPReport has no field 'factor'$"):
+        TPReport(2, 3, 1, 2, True, (), None, factor=())
+
+
+def test_value_class_keyword_defaults():
+    assert WeightComponent(k=3, i=0) == WeightComponent(3, 0, ()) == WeightComponent(i=0, k=3)
+    verdict = NilInvariance(2, 6, False, False, 6, 1, inf, remark="r")
+    assert verdict.remark == "r" and verdict != nil_invariance_report(2, 6)
+    assert NilInvariance(2, 6, False, False, 6, 1, inf, "r") == verdict
+    assert AbelianGroup(torsion=(2,)) == AbelianGroup(0, (2,)) == AbelianGroup.cyclic(2)
+
+
+def test_value_classes_match_positional_patterns():
+    for value, _ in _values():
+        got = None
+        match value:
+            case WeightComponent(k, i, blocks):
+                got = (k, i, blocks)
+            case AbelianGroup(rank, torsion):
+                got = (rank, torsion)
+            case ChainComplex(k, i, bases, boundaries):
+                got = (k, i, bases, boundaries)
+            case WeightPieceReport(k, i, computed, expected, bad):
+                got = (k, i, computed, expected, bad)
+            case CyclicFactor(p, weight, exponent, multiple_of_k):
+                got = (p, weight, exponent, multiple_of_k)
+            case NilInvariance(p, k, integral, inverted, weight, exponent, sup, remark):
+                got = (p, k, integral, inverted, weight, exponent, sup, remark)
+            case TPReport(p, k, j, truncation, truncated, factors, verdicts):
+                got = (p, k, j, truncation, truncated, factors, verdicts)
+        assert got == tuple(getattr(value, name) for name in type(value).__slots__)
+    match relative_tp(2, 3, 1, 2):
+        case TPReport(2, 3, 1, 2, True, (CyclicFactor(2, 1, 0), CyclicFactor(2, 2, 1, False)), NilInvariance(2, 3)):
+            pass
+        case other:
+            pytest.fail(f"no pattern matched {other!r}")
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # a site hook may import modules before cycbar does, so only what the
-    # import adds counts
+    # import adds counts; building each value class once may add neither
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-        "import cycbar, cycbar.cli; print(*sorted(set(sys.modules) - before))"
+        "import cycbar, cycbar.cli; from cycbar import *; "
+        "verify_weight_piece(chain_complex(CyclicBar(2).enumerate_weight_component(2))); "
+        "relative_tp(2, 3, 1, 2); WeightComponent(k=3, i=0); "
+        "print(*sorted(set(sys.modules) - before))"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60, check=True
