@@ -237,20 +237,32 @@ class CyclicBar:
         """All nondegenerate simplices of weight i, in degree-by-degree lex order.
 
         Degrees run up to i (weight 0 needs only degree 0).  Tuples have
-        a_0 in [0, k-1] and a_j in [1, k-1] for j >= 1.
+        a_0 in [0, k-1] and a_j in [1, k-1] for j >= 1.  The compositions
+        of each total m <= i into p parts in [1, k-1] are listed once, in
+        lex order, for p = 0, 1, ..., i + 1 in turn, each from those of
+        p - 1 parts; only two part counts are held at a time.  The
+        l-simplices are (0,) before each composition of i into l parts,
+        then the compositions of i into l + 1 parts themselves, whose
+        tuples the component keeps.
         """
         _require_nonnegative_weight(i)
         hi = self.k - 1
-        # leading entry may be the unit, the rest may not
-        blocks = tuple(
-            tuple(
-                (first,) + tail
-                for first in range(min(hi, i) + 1)
-                for tail in _compositions(i - first, l, hi)
-            )
-            for l in range(i + 1)
-        )
-        return WeightComponent(self.k, i, blocks)
+        # comps[m]: the compositions of m into p parts, for p <= m <= min(i, p * hi)
+        comps = {0: [()]}
+        blocks = []
+        for p in range(1, i + 2):
+            below = comps
+            comps = {
+                m: [
+                    (a,) + tail
+                    for a in range(max(1, m - (p - 1) * hi), min(hi, m - p + 1) + 1)
+                    for tail in below[m - a]
+                ]
+                for m in range(p, min(i, p * hi) + 1)
+            }
+            # degree p - 1: a unit before p - 1 parts, then p parts
+            blocks.append(tuple([(0,) + tail for tail in below.get(i, ())] + comps.get(i, [])))
+        return WeightComponent(self.k, i, tuple(blocks))
 
     def generated_cyclic_subset(self, i):
         """Nondegenerate simplices reachable from the weight-i generator.
@@ -300,20 +312,6 @@ class CyclicBar:
         for s in seen:
             blocks[len(s) - 1].append(s)
         return WeightComponent(self.k, i, tuple(tuple(sorted(b)) for b in blocks))
-
-
-def _compositions(total, parts, hi):
-    """Tuples of `parts` entries in [1, hi] summing to `total`, lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    # remaining entries force total into [parts, parts * hi]
-    lo_first = max(1, total - (parts - 1) * hi)
-    hi_first = min(hi, total - (parts - 1))
-    for a in range(lo_first, hi_first + 1):
-        for tail in _compositions(total - a, parts - 1, hi):
-            yield (a,) + tail
 
 
 def _require_nonnegative_weight(i):

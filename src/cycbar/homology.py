@@ -322,25 +322,34 @@ class ChainComplex(_Value):
         """Exact check that consecutive differentials compose to zero.
 
         Row r of ``d_{l-1} d_l`` is the sum, over the entries ``(r, mid, w)``
-        of ``d_{l-1}``, of ``w`` times row ``mid`` of ``d_l``.  The product
-        is summed one row at a time, so only that row is held, and the
-        first nonzero row ends the check.  The triplets may come in any
-        order.
+        of ``d_{l-1}``, of ``w`` times row ``mid`` of ``d_l``.  Each degree's
+        triplets are put in (row, col) order by ``sorted``, which is linear
+        on the order ``chain_complex`` makes and right for any other; then
+        the row runs of ``d_{l-1}`` are walked, and for each entry the run
+        of row ``mid`` of ``d_l``, found through a list of where each run
+        starts.  One row of the product is summed at a time, exactly, and
+        the first nonzero row ends the check.  Besides the sorted copies
+        of two degrees, only that row and the run starts are held.
         """
+        upper = sorted(self.boundaries[1]) if self.top_degree >= 1 else []
         for l in range(2, self.top_degree + 1):
-            lower = {}
-            for r, mid, w in self.boundaries[l - 1]:
-                lower.setdefault(r, []).append((mid, w))
-            upper = {}
-            for mid, c, v in self.boundaries[l]:
-                upper.setdefault(mid, {})[c] = v
-            for entries in lower.values():
-                acc = {}
-                for mid, w in entries:
-                    for c, v in upper.get(mid, {}).items():
-                        acc[c] = acc.get(c, 0) + w * v
-                if any(acc.values()):
-                    return False
+            lower, upper = upper, sorted(self.boundaries[l])
+            # row mid of d_l is upper[starts[mid]:starts[mid + 1]]
+            starts = [0] * (self.dimension(l - 1) + 1)
+            for mid, _, _ in upper:
+                starts[mid + 1] += 1
+            for mid in range(1, len(starts)):
+                starts[mid] += starts[mid - 1]
+            acc, row = {}, None
+            for r, mid, w in lower:
+                if r != row:
+                    if any(acc.values()):
+                        return False
+                    acc, row = {}, r
+                for _, c, v in upper[starts[mid] : starts[mid + 1]]:
+                    acc[c] = acc.get(c, 0) + w * v
+            if any(acc.values()):
+                return False
         return True
 
     def __repr__(self):
@@ -353,31 +362,43 @@ def chain_complex(wc):
     The component must be closed under faces degree by degree (true for
     both enumeration routes); a face landing outside the listed basis is
     an error rather than silently dropped.
+
+    Degree l is built one column at a time: the faces of one l-simplex,
+    from ``CyclicBar.face``, are summed in a small dict, and the nonzero
+    sums are appended to the lists of their rows.  The columns come in
+    order, so the rows laid end to end are the triplets sorted by
+    (row, col), with no dict of the whole degree and no sort.  Besides
+    the triplets, only the index of degree l - 1 and the row lists of
+    degree l are held.
     """
     if not isinstance(wc, WeightComponent):
         raise ValueError("expected a WeightComponent")
-    bar = CyclicBar(wc.k)
+    face = CyclicBar(wc.k).face
     bases = wc.simplices_by_degree
-    index = [{s: col for col, s in enumerate(block)} for block in bases]
-    boundaries = [()]
-    for l in range(1, len(bases)):
-        cells = {}
-        for col, s in enumerate(bases[l]):
-            sign = 1
-            for a in range(l + 1):
-                f = bar.face(s, a)
-                if f is not BASEPOINT:
-                    row = index[l - 1].get(f)
-                    if row is None:
-                        raise ValueError(
-                            f"face {f} of {s} missing from degree {l - 1} basis"
-                        )
-                    cells[row, col] = cells.get((row, col), 0) + sign
-                sign = -sign
-        boundaries.append(
-            tuple(sorted((r, c, v) for (r, c), v in cells.items() if v))
-        )
-    return ChainComplex(wc.k, wc.i, bases, tuple(boundaries))
+    boundaries = ((),) + tuple(_boundary(face, bases, l) for l in range(1, len(bases)))
+    return ChainComplex(wc.k, wc.i, bases, boundaries)
+
+
+def _boundary(face, bases, l):
+    """The triplets of the differential from degree l, as ``chain_complex`` describes."""
+    index = {s: row for row, s in enumerate(bases[l - 1])}
+    rows = [[] for _ in bases[l - 1]]
+    for col, s in enumerate(bases[l]):
+        column = {}
+        sign = 1
+        for a in range(l + 1):
+            f = face(s, a)
+            if f is not BASEPOINT:
+                row = index.get(f)
+                if row is None:
+                    raise ValueError(f"face {f} of {s} missing from degree {l - 1} basis")
+                column[row] = column.get(row, 0) + sign
+            sign = -sign
+        for row, v in column.items():
+            if v:
+                rows[row].append((row, col, v))
+    del index  # not needed while the rows are laid end to end
+    return tuple([t for entries in rows for t in entries])
 
 
 def homology_groups(cx):

@@ -1,3 +1,4 @@
+import gc
 import re
 from itertools import accumulate, product
 
@@ -125,6 +126,41 @@ def test_enumerate_against_brute_force():
                     else ()
                 )
                 assert list(block) == brute, (k, i, l)
+
+
+def _recursive_compositions(total, parts, hi):
+    """Tuples of `parts` entries in [1, hi] summing to `total`, lex order, one recursion per entry."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for a in range(max(1, total - (parts - 1) * hi), min(hi, total - (parts - 1)) + 1):
+        for tail in _recursive_compositions(total - a, parts - 1, hi):
+            yield (a,) + tail
+
+
+def test_enumerate_equals_recursive_route_and_counts():
+    for k in range(2, 8):
+        bar = CyclicBar(k)
+        for i in range(0, 15):
+            gc.collect()
+            gc.disable()
+            try:
+                wc = bar.enumerate_weight_component(i)
+                # a reference cycle left behind would be found here
+                assert gc.collect() == 0, (k, i)
+            finally:
+                gc.enable()
+            want = tuple(
+                tuple(
+                    (first,) + tail
+                    for first in range(min(k - 1, i) + 1)
+                    for tail in _recursive_compositions(i - first, l, k - 1)
+                )
+                for l in range(i + 1)
+            )
+            assert wc.simplices_by_degree == want, (k, i)
+            assert wc.degree_counts() == cell_counts(k, i), (k, i)
 
 
 def test_enumeration_is_sorted_lex():

@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycbar.homology
-from cycbar.cyclic_bar import CyclicBar, WeightComponent
+from cycbar.cyclic_bar import BASEPOINT, CyclicBar, WeightComponent
 from cycbar.homology import (
     AbelianGroup,
     ChainComplex,
@@ -215,6 +216,83 @@ def test_chain_complex_k3_i2_fixture():
     # d_0 - d_1 + d_2 = (1,1) - (0,2) + (1,1)
     assert cx.boundary_matrix(2) == [[-1], [2]]
     assert cx.boundary_matrix(1) == [[0, 0]]
+
+
+def _reference_chain_complex(wc):
+    """The build as a (row, col)-keyed dict of each degree, then sorted: the oracle for ``chain_complex``."""
+    bar = CyclicBar(wc.k)
+    bases = wc.simplices_by_degree
+    index = [{s: col for col, s in enumerate(block)} for block in bases]
+    boundaries = [()]
+    for l in range(1, len(bases)):
+        cells = {}
+        for col, s in enumerate(bases[l]):
+            sign = 1
+            for a in range(l + 1):
+                f = bar.face(s, a)
+                if f is not BASEPOINT:
+                    row = index[l - 1][f]
+                    cells[row, col] = cells.get((row, col), 0) + sign
+                sign = -sign
+        boundaries.append(tuple(sorted((r, c, v) for (r, c), v in cells.items() if v)))
+    return ChainComplex(wc.k, wc.i, bases, tuple(boundaries))
+
+
+def test_chain_complex_equals_reference_build():
+    for k in range(2, 7):
+        bar = CyclicBar(k)
+        for i in range(0, 11):
+            wc = bar.enumerate_weight_component(i)
+            cx = chain_complex(wc)
+            assert cx == _reference_chain_complex(wc), (k, i)
+            for block in cx.boundaries:
+                assert all(type(b) is tuple for b in block)
+                assert all(v for _, _, v in block), (k, i)
+                keys = [(r, c) for r, c, _ in block]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (k, i)
+
+
+def test_chain_complex_drops_a_cancelling_pair():
+    # at k=3, d_0 and the wrap-around d_3 of (1,1,1,1) are both (2,1,1),
+    # with signs +1 and -1, so that row gets no entry in its column
+    cx = chain_complex(CyclicBar(3).enumerate_weight_component(4))
+    col = cx.bases[3].index((1, 1, 1, 1))
+    rows = {cx.bases[2][r]: v for r, c, v in cx.boundaries[3] if c == col}
+    assert rows == {(1, 2, 1): -1, (1, 1, 2): 1}
+
+
+def test_chain_complex_refuses_a_face_outside_the_basis():
+    wc = CyclicBar(3).enumerate_weight_component(3)
+    blocks = list(wc.simplices_by_degree)
+    blocks[1] = tuple(s for s in blocks[1] if s != (1, 2))
+    with pytest.raises(ValueError, match=r"face \(1, 2\) of .* missing from degree 1 basis"):
+        chain_complex(WeightComponent(3, 3, tuple(blocks)))
+    with pytest.raises(ValueError, match="expected a WeightComponent"):
+        chain_complex(blocks)
+
+
+def test_build_and_dd_hold_little_beside_the_triplets():
+    # tracemalloc counts every Python allocation; the bounds are fractions
+    # of the triplets' own size, so they do not depend on the machine.
+    # The build and the d∘d check of a (row, col)-keyed dict of a whole
+    # degree read 0.18x and 0.51x here (Python 3.10 to 3.12)
+    import tracemalloc
+
+    wc = CyclicBar(5).enumerate_weight_component(12)
+    tracemalloc.start()
+    try:
+        cx = chain_complex(wc)
+        retained, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert cx.boundary_composes_to_zero() is True
+        dd_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = sum(sys.getsizeof(t) for block in cx.boundaries for t in block)
+    assert size > 10**6
+    assert peak - retained <= 0.15 * size, (peak - retained) / size
+    assert dd_peak <= 0.30 * size, dd_peak / size
 
 
 def test_boundary_squares_to_zero_small():
