@@ -9,12 +9,20 @@ its exponent tuple (a_0, ..., a_l) with 0 <= a_j <= k-1, or the shared
 
 Structure maps:
 
-* ``face(s, idx)`` multiplies entries idx, idx+1; the last face wraps
+* ``faces(s)`` gives all faces (d_0 s, ..., d_l s) of an l-simplex in one
+  call.  d_idx multiplies entries idx, idx+1; the last face wraps
   around and multiplies the final entry into the front one,
   (a_0, ..., a_l) -> (a_l + a_0, a_1, ..., a_{l-1}).  A product that
   overflows the truncation collapses the whole simplex to the basepoint.
-* ``degeneracy(s, idx)`` inserts a unit (exponent 0) after position idx.
+* ``degeneracies(s)`` gives all (s_0 s, ..., s_l s); s_idx inserts a unit
+  (exponent 0) after position idx.
 * ``cyclic(s)`` rotates the tuple one step to the right.
+
+The batched forms are the one implementation: ``face(s, idx)`` and
+``degeneracy(s, idx)`` check idx and return an entry of them, and the
+basepoint, which has no degree, goes through these alone.  The boundary
+matrices, the Morse walk and the generated closure take their faces from
+``faces``, the operator the identity suite checks.
 
 Every map either preserves the entry sum or hits the basepoint, so the
 construction splits as a wedge over the total weight i.  A simplex is
@@ -193,39 +201,49 @@ class CyclicBar:
     def __repr__(self):
         return f"CyclicBar(k={self.k})"
 
-    def face(self, s, idx):
-        """Face d_idx; 0 <= idx <= l on an l-simplex with l >= 1.
+    def faces(self, s):
+        """All faces (d_0 s, ..., d_l s) of an l-simplex ``s``, l >= 1, as the module docstring defines them.
 
-        Merges two entries by exponent addition; a sum reaching k is the
-        monoid zero and collapses the simplex.  Basepoint in, basepoint
-        out.  A 0-simplex has no faces.
+        Every entry of ``s`` is checked once per call.  The basepoint, which
+        has no degree, is refused: ``face`` takes it.
         """
+        if s is BASEPOINT:
+            raise ValueError("the basepoint has no degree: face(BASEPOINT, idx) is BASEPOINT")
+        top = len(s) - 1
+        if top < 1:
+            raise ValueError("a 0-simplex has no faces")
+        k = self.k
+        order = sorted(s)  # faster than min and max together on tuples this short
+        if order[0] < 0 or order[-1] >= k:
+            raise ValueError(f"entries of {s!r} are not all exponents of Pi_{k}")
+        return (
+            *[BASEPOINT if (m := s[a] + s[a + 1]) >= k else s[:a] + (m,) + s[a + 2:] for a in range(top)],
+            BASEPOINT if (m := s[top] + s[0]) >= k else (m,) + s[1:top],
+        )
+
+    def degeneracies(self, s):
+        """All degeneracies (s_0 s, ..., s_l s) of an l-simplex ``s``; the basepoint is refused, as by ``faces``."""
+        if s is BASEPOINT:
+            raise ValueError("the basepoint has no degree: degeneracy(BASEPOINT, idx) is BASEPOINT")
+        return tuple([s[:b] + (0,) + s[b:] for b in range(1, len(s) + 1)])
+
+    def face(self, s, idx):
+        """Face d_idx of an l-simplex, 0 <= idx <= l: entry idx of ``faces(s)``.  Basepoint in, basepoint out."""
         if s is BASEPOINT:
             return BASEPOINT
         top = len(s) - 1
-        if top == 0:
-            raise ValueError("a 0-simplex has no faces")
-        if not 0 <= idx <= top:
+        if top and not 0 <= idx <= top:
             raise ValueError(f"face index {idx} out of range for degree {top}")
-        a, b = (s[idx], s[idx + 1]) if idx < top else (s[top], s[0])
-        k = self.k
-        if not (0 <= a < k and 0 <= b < k):
-            raise ValueError(f"entries {a!r}, {b!r} are not both exponents of Pi_{k}")
-        prod = a + b
-        if prod >= k:
-            return BASEPOINT
-        if idx < top:
-            return s[:idx] + (prod,) + s[idx + 2:]
-        return (prod,) + s[1:top]
+        return self.faces(s)[idx]
 
     def degeneracy(self, s, idx):
-        """Degeneracy s_idx: insert a unit entry after position idx."""
+        """Degeneracy s_idx of an l-simplex, 0 <= idx <= l: entry idx of ``degeneracies(s)``.  Basepoint in, basepoint out."""
         if s is BASEPOINT:
             return BASEPOINT
         top = len(s) - 1
         if not 0 <= idx <= top:
             raise ValueError(f"degeneracy index {idx} out of range for degree {top}")
-        return s[: idx + 1] + (0,) + s[idx + 1:]
+        return self.degeneracies(s)[idx]
 
     def cyclic(self, s):
         """Cyclic operator: rotate the tuple one step to the right."""
@@ -299,7 +317,7 @@ class CyclicBar:
         while stack:
             s = stack.pop()
             top = len(s) - 1
-            images = [self.face(s, a) for a in range(top + 1)] if top else []
+            images = [*self.faces(s)] if top else []
             images.append(self.cyclic(s))
             if top < i:
                 images.append(self.cyclic(self.degeneracy(s, top)))
@@ -379,13 +397,18 @@ def identity_violations(bar, s):
         s_0 t = t^2 s_l,  s_a t = t s_{a-1}  (1 <= a <= l)
 
     Each operator image is computed once, through ``bar``'s own methods:
-    the faces and degeneracies of ``s``, the faces and degeneracies of
-    each face and the degeneracies of each degeneracy are listed first,
-    and the relations read both sides off those lists.  The relations,
-    their messages and their order are those of checking each relation
-    from scratch.  ``weight_identity_violations`` runs the same suite over
-    a whole weight component and shares the images of faces between the
-    simplices of that weight.
+    one ``bar.faces`` and one ``bar.degeneracies`` call each for ``s``,
+    each face, each degeneracy and the rotation (the basepoint's images
+    come from ``bar.face`` and ``bar.degeneracy``).  A batched result whose
+    length is not the degree plus one is refused with a ``ValueError``
+    that names the operator and the simplex.  The relations of one family
+    that share b are then one row of a table of images against one column
+    of another, taken with ``zip``, compared as tuples; only a row that
+    differs is walked entry by entry.  So the relations, their messages
+    and their order are those of checking each relation from scratch.
+    ``weight_identity_violations`` runs the same suite over a whole weight
+    component and shares the images of faces between the simplices of
+    that weight.
 
     Returns a list of short descriptions of failures, empty when all hold.
     """
@@ -422,9 +445,24 @@ def weight_identity_violations(bar, wc):
 
 
 def _images(bar, x, l):
-    """The faces and the degeneracies of ``x`` as an l-simplex, through ``bar``."""
-    faces = [bar.face(x, a) for a in range(l + 1)] if l >= 1 else []
-    return faces, [bar.degeneracy(x, b) for b in range(l + 1)]
+    """The faces (none in degree 0) and the degeneracies of ``x`` as an l-simplex, through ``bar``."""
+    faces = _row(bar.faces, bar.face, x, l + 1) if l else ()
+    return faces, _row(bar.degeneracies, bar.degeneracy, x, l + 1)
+
+
+def _row(batched, single, x, n):
+    """The n images of ``x`` under ``batched``, ``bar.faces`` or ``bar.degeneracies``, as a tuple.
+
+    A result whose length is not n is refused, since ``zip`` would cut
+    short the rows read off it.  The basepoint has no degree, so its
+    images come from ``single``, the matching per-index method.
+    """
+    if x is BASEPOINT:
+        return tuple([single(x, a) for a in range(n)])
+    images = batched(x)
+    if len(images) != n:
+        raise ValueError(f"{batched.__qualname__}({x!r}) gave {len(images)} images, want {n}")
+    return images
 
 
 def _violations(bar, s, here, below):
@@ -432,40 +470,43 @@ def _violations(bar, s, here, below):
 
     ``here`` maps ``s``, and maybe other l-simplices, to their images as
     ``_images`` lists them; ``below`` does the same for (l-1)-simplices.
-    The images of a face or of the rotation missing from them are
-    computed through ``bar``.
+    The images of a face or of the rotation missing from them, and those
+    of each degeneracy, are computed through ``bar``.
     """
     bad = []
     l = len(s) - 1
-    d, sg, t = bar.face, bar.degeneracy, bar.cyclic
+    t = bar.cyclic
     faces, degens = here[s]
-    # the faces and the degeneracies of each face
-    ff, fs = [], []
-    for f in faces:
-        f_faces, f_degens = below.get(f) or _images(bar, f, l - 1)
-        ff.append(f_faces)
-        fs.append(f_degens)
+    # the faces and the degeneracies of each face, and the degeneracies of
+    # each degeneracy; the faces of each degeneracy are taken a row at a time
+    ff, fs = zip(*[below.get(f) or _images(bar, f, l - 1) for f in faces]) if l else ((), ())
+    gs = [_row(bar.degeneracies, bar.degeneracy, g, l + 2) for g in degens]
 
     if l >= 2:
+        # d_a d_b for a < b is row b of ff, d_{b-1} d_a is column b - 1
+        cols = list(zip(*ff))
         for b in range(1, l + 1):
-            for a in range(b):
-                if ff[b][a] != ff[a][b - 1]:
-                    bad.append(f"d_{a} d_{b} != d_{b-1} d_{a} at {s}")
-    ss = [[sg(g, a) for a in range(l + 2)] for g in degens]
+            if ff[b][:b] != cols[b - 1][:b]:
+                for a in range(b):
+                    if ff[b][a] != ff[a][b - 1]:
+                        bad.append(f"d_{a} d_{b} != d_{b-1} d_{a} at {s}")
+    # s_a s_b for a <= b is row b of gs, s_{b+1} s_a is column b + 1
+    cols = list(zip(*gs))
     for b in range(l + 1):
-        for a in range(b + 1):
-            if ss[b][a] != ss[a][b + 1]:
-                bad.append(f"s_{a} s_{b} != s_{b+1} s_{a} at {s}")
-    for b, sb in enumerate(degens):
-        for a in range(l + 2):
-            if a < b:
-                want = fs[a][b - 1]
-            elif a in (b, b + 1):
-                want = s
-            else:
-                want = fs[a - 1][b]
-            if d(sb, a) != want:
-                bad.append(f"d_{a} s_{b} relation fails at {s}")
+        if gs[b][: b + 1] != cols[b + 1][: b + 1]:
+            for a in range(b + 1):
+                if gs[b][a] != gs[a][b + 1]:
+                    bad.append(f"s_{a} s_{b} != s_{b+1} s_{a} at {s}")
+    # d_a s_b over a should be s_{b-1} d_a (a < b), s (a = b, b+1) and
+    # s_b d_{a-1} (a > b+1), read down columns b - 1 and b of fs
+    cols = [*zip(*fs), ()]
+    for b, g in enumerate(degens):
+        got = _row(bar.faces, bar.face, g, l + 2)
+        want = cols[b - 1][:b] + (s, s) + cols[b][b + 1 :]
+        if got != want:
+            for a in range(l + 2):
+                if got[a] != want[a]:
+                    bad.append(f"d_{a} s_{b} relation fails at {s}")
     r = s
     for _ in range(l + 1):
         r = t(r)
@@ -477,12 +518,16 @@ def _violations(bar, s, here, below):
     if l >= 1:
         if tf[0] != faces[l]:
             bad.append(f"d_0 t != d_{l} at {s}")
+        want = tuple(map(t, faces[:l]))
+        if tf[1:] != want:
+            for a in range(1, l + 1):
+                if tf[a] != want[a - 1]:
+                    bad.append(f"d_{a} t != t d_{a-1} at {s}")
+    want = tuple(map(t, degens[:l]))
+    if tg[1:] != want:
         for a in range(1, l + 1):
-            if tf[a] != t(faces[a - 1]):
-                bad.append(f"d_{a} t != t d_{a-1} at {s}")
-    for a in range(1, l + 1):
-        if tg[a] != t(degens[a - 1]):
-            bad.append(f"s_{a} t != t s_{a-1} at {s}")
+            if tg[a] != want[a - 1]:
+                bad.append(f"s_{a} t != t s_{a-1} at {s}")
     if tg[0] != t(t(degens[l])):
         bad.append(f"s_0 t != t^2 s_{l} at {s}")
     return bad

@@ -364,30 +364,29 @@ def chain_complex(wc):
     an error rather than silently dropped.
 
     Degree l is built one column at a time: the faces of one l-simplex,
-    from ``CyclicBar.face``, are summed in a small dict, and the nonzero
-    sums are appended to the lists of their rows.  The columns come in
-    order, so the rows laid end to end are the triplets sorted by
-    (row, col), with no dict of the whole degree and no sort.  Besides
-    the triplets, only the index of degree l - 1 and the row lists of
-    degree l are held.
+    from one ``CyclicBar.faces`` call, are summed in a small dict, and
+    the nonzero sums are appended to the lists of their rows.  The
+    columns come in order, so the rows laid end to end are the triplets
+    sorted by (row, col), with no dict of the whole degree and no sort.
+    Besides the triplets, only the index of degree l - 1 and the row
+    lists of degree l are held.
     """
     if not isinstance(wc, WeightComponent):
         raise ValueError("expected a WeightComponent")
-    face = CyclicBar(wc.k).face
+    faces = CyclicBar(wc.k).faces
     bases = wc.simplices_by_degree
-    boundaries = ((),) + tuple(_boundary(face, bases, l) for l in range(1, len(bases)))
+    boundaries = ((),) + tuple(_boundary(faces, bases, l) for l in range(1, len(bases)))
     return ChainComplex(wc.k, wc.i, bases, boundaries)
 
 
-def _boundary(face, bases, l):
+def _boundary(faces, bases, l):
     """The triplets of the differential from degree l, as ``chain_complex`` describes."""
     index = {s: row for row, s in enumerate(bases[l - 1])}
     rows = [[] for _ in bases[l - 1]]
     for col, s in enumerate(bases[l]):
         column = {}
         sign = 1
-        for a in range(l + 1):
-            f = face(s, a)
+        for f in faces(s):
             if f is not BASEPOINT:
                 row = index.get(f)
                 if row is None:
@@ -448,8 +447,9 @@ def morse_homology(k, i):
 
     The same groups as ``homology_groups(chain_complex(...))``, from the
     two critical cells of the matching in the module docstring and one
-    walk of the gradient paths from the high cell; the faces come from
-    ``CyclicBar.face``.  Nothing is enumerated and nothing is reduced.
+    walk of the gradient paths from the high cell; each popped cell's faces
+    come from one ``CyclicBar.faces`` call, the operator the identity suite
+    checks.  Nothing is enumerated and nothing is reduced.
     A walk past ``MORSE_FLOW_BUDGET`` faces is refused with a ``ValueError``.
     """
     groups, _ = _morse_walk(k, i, MORSE_FLOW_BUDGET)
@@ -476,11 +476,8 @@ def _morse_walk(k, i, budget):
         budget -= len(u)
         if budget < 0:
             return None, budget
-        for a in range(len(u)):
-            if a == skip:
-                continue
-            f = bar.face(u, a)
-            if f is BASEPOINT:
+        for a, f in enumerate(bar.faces(u)):
+            if a == skip or f is BASEPOINT:
                 continue
             kind, t = _morse_cell(f, k)
             if kind == "lower":

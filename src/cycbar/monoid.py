@@ -4,7 +4,7 @@ Pi_k is the multiplicative pointed monoid {0, 1, x, ..., x^(k-1)} with
 x^k = 0.  Its nonzero elements are stored as their exponents (0 for the
 unit), so the product of two of them is exponent addition and the weight
 of an element is the element itself; a sum reaching k is the monoid zero,
-represented by the shared ``BASEPOINT`` sentinel.  ``CyclicBar.face``
+represented by the shared ``BASEPOINT`` sentinel.  ``CyclicBar.faces``
 carries out the product.
 """
 

@@ -14,8 +14,11 @@ import pytest
 import cycbar.homology
 from cycbar.cyclic_bar import BASEPOINT, CyclicBar
 from cycbar.homology import (
+    MORSE_FLOW_BUDGET,
+    ZERO_GROUP,
     AbelianGroup,
     _morse_cell,
+    _morse_walk,
     chain_complex,
     expected_reduced_homology,
     homology_groups,
@@ -204,3 +207,51 @@ def test_critical_cells_lie_in_the_generated_closure(k):
         blocks = bar.generated_cyclic_subset(i).simplices_by_degree
         critical = {s for block in blocks for s in block if _morse_cell(s, k)[0] == "critical"}
         assert critical == _critical_by_formula(k, i), (k, i)
+
+
+def _reference_morse_walk(k, i, budget):
+    """``_morse_walk`` as it read before it took each cell's faces in one call.
+
+    One ``CyclicBar.face`` call per face, the skipped face not computed.
+    It is the oracle that ``_morse_walk`` must match, groups and budget left.
+    """
+    bar = CyclicBar(k)
+    if i == 0:
+        return {0: AbelianGroup.free(1)}, budget
+    groups = dict.fromkeys(range(i + 1), ZERO_GROUP)
+    d = (i - 1) // k
+    odd = ((i - 1) % k,) + (1, k - 1) * d + (1,)
+    even = (i % k,) + (1, k - 1) * (i // k)
+    low, high = (even, odd) if i % k else (odd, even)
+    m = 0
+    stack = [(high, 1, None)]
+    while stack:
+        u, c, skip = stack.pop()
+        budget -= len(u)
+        if budget < 0:
+            return None, budget
+        for a in range(len(u)):
+            if a == skip:
+                continue
+            f = bar.face(u, a)
+            if f is BASEPOINT:
+                continue
+            kind, t = _morse_cell(f, k)
+            if kind == "lower":
+                stack.append((f[:t] + (1, f[t] - 1) + f[t + 1:], c if (a + t) % 2 else -c, t))
+            elif kind == "critical":
+                m += -c if a % 2 else c
+    n = len(low) - 1
+    groups[n] = AbelianGroup.cyclic(abs(m)) if m else AbelianGroup.free(1)
+    if not m:
+        groups[n + 1] = AbelianGroup.free(1)
+    return groups, budget
+
+
+def test_walk_matches_per_face_reference():
+    # the walk takes each cell's faces from CyclicBar.faces, the operator the identity suite checks
+    for k in range(2, 8):
+        for i in range(61):
+            assert _morse_walk(k, i, MORSE_FLOW_BUDGET) == _reference_morse_walk(k, i, MORSE_FLOW_BUDGET), (k, i)
+    # and runs out of budget at the same face
+    assert _morse_walk(5, 16, 255) == _reference_morse_walk(5, 16, 255) == (None, -1)
