@@ -198,15 +198,17 @@ def _weight_check(k, i, dd=False):
     The only place the per-weight rules live.  Weight i >= 1 gets a
     closed-form ``piece`` and an ``euler`` node; ``dd`` is checked only
     when asked for.  The record holds no simplices and no matrices, since
-    ``--jobs`` ships it between processes.
+    ``--jobs`` ships it between processes.  The identity suite runs first,
+    so its image caches and the complex are never held at once.
     """
     bar = CyclicBar(k)
     wc = bar.enumerate_weight_component(i)
+    violations = weight_identity_violations(bar, wc)
     cx = chain_complex(wc)
     count = wc.alternating_count()
     return {
         "cells": sum(wc.degree_counts()),
-        "violations": weight_identity_violations(bar, wc),
+        "violations": violations,
         "piece": _verify_entry(cx) if i >= 1 else None,
         "euler": {"i": i, "alternating_count": count, "ok": count == 0} if i >= 1 else None,
         "dd": cx.boundary_composes_to_zero() if dd else None,

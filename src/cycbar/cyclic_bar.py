@@ -398,14 +398,14 @@ def identity_violations(bar, s):
 
     Each operator image is computed once, through ``bar``'s own methods:
     one ``bar.faces`` and one ``bar.degeneracies`` call each for ``s``,
-    each face, each degeneracy and the rotation (the basepoint's images
-    come from ``bar.face`` and ``bar.degeneracy``).  A batched result whose
-    length is not the degree plus one is refused with a ``ValueError``
-    that names the operator and the simplex.  The relations of one family
-    that share b are then one row of a table of images against one column
-    of another, taken with ``zip``, compared as tuples; only a row that
-    differs is walked entry by entry.  So the relations, their messages
-    and their order are those of checking each relation from scratch.
+    each face, each degeneracy and the rotation.  The basepoint, which has
+    no degree, is mapped by ``bar.face`` and ``bar.degeneracy``.  A batched
+    result whose length is not the degree plus one is refused with a
+    ``ValueError`` that names the operator and the simplex.  Each relation
+    is an entry of a row of images, read off the batches with ``zip``, set
+    against a row of what they should be; a failure is reported for each
+    index where two rows differ, in index order.  So the relations, their
+    messages and their order are those of checking each from scratch.
     ``weight_identity_violations`` runs the same suite over a whole weight
     component and shares the images of faces between the simplices of
     that weight.
@@ -427,9 +427,10 @@ def weight_identity_violations(bar, wc):
     degree and the next are checked.  The faces of an l-simplex are
     (l-1)-simplices of the same weight or the basepoint, and its rotation
     is an l-simplex of the same weight unless its entry 0 is the unit, so
-    their faces and degeneracies are looked up, not computed again.  An
-    image not kept, such as a degenerate rotation or a face a broken
-    ``bar`` sends outside the weight, is computed through ``bar``.
+    their faces and degeneracies are looked up, not computed again.  Those
+    of each degeneracy, one degree up, are computed through ``bar``, as
+    are those of an image not kept, such as a degenerate rotation or a
+    face a broken ``bar`` sends outside the weight.
     """
     bad = []
     below = {}
@@ -445,24 +446,31 @@ def weight_identity_violations(bar, wc):
 
 
 def _images(bar, x, l):
-    """The faces (none in degree 0) and the degeneracies of ``x`` as an l-simplex, through ``bar``."""
-    faces = _row(bar.faces, bar.face, x, l + 1) if l else ()
-    return faces, _row(bar.degeneracies, bar.degeneracy, x, l + 1)
+    """The faces (none in degree 0) and the degeneracies of ``x`` as an l-simplex, through ``bar``.
 
-
-def _row(batched, single, x, n):
-    """The n images of ``x`` under ``batched``, ``bar.faces`` or ``bar.degeneracies``, as a tuple.
-
-    A result whose length is not n is refused, since ``zip`` would cut
-    short the rows read off it.  The basepoint has no degree, so its
-    images come from ``single``, the matching per-index method.
+    A simplex is mapped by one ``bar.faces`` and one ``bar.degeneracies``
+    call, each checked by ``_row``; the basepoint, which has no degree, by
+    ``bar.face`` and ``bar.degeneracy``, one index at a time.
     """
+    n = l + 1
     if x is BASEPOINT:
-        return tuple([single(x, a) for a in range(n)])
-    images = batched(x)
+        faces = tuple([bar.face(x, a) for a in range(n)]) if l else ()
+        return faces, tuple([bar.degeneracy(x, a) for a in range(n)])
+    return _row(bar.faces, x, n) if l else (), _row(bar.degeneracies, x, n)
+
+
+def _row(op, x, n):
+    """``op(x)``, from ``bar.faces`` or ``bar.degeneracies``, refused unless it has n images: ``zip`` would cut its rows short."""
+    images = op(x)
     if len(images) != n:
-        raise ValueError(f"{batched.__qualname__}({x!r}) gave {len(images)} images, want {n}")
+        raise ValueError(f"{op.__qualname__}({x!r}) gave {len(images)} images, want {n}")
     return images
+
+
+def _diff(bad, got, want, message, start=0):
+    """Append ``message(a)`` to ``bad`` for each index a where the rows ``got`` and ``want`` differ, in order, counting from ``start``."""
+    if got != want:
+        bad.extend(message(a) for a, (x, y) in enumerate(zip(got, want), start) if x != y)
 
 
 def _violations(bar, s, here, below):
@@ -471,42 +479,37 @@ def _violations(bar, s, here, below):
     ``here`` maps ``s``, and maybe other l-simplices, to their images as
     ``_images`` lists them; ``below`` does the same for (l-1)-simplices.
     The images of a face or of the rotation missing from them, and those
-    of each degeneracy, are computed through ``bar``.
+    of each degeneracy, are computed through ``_images``.  Each family of
+    relations is a row of images against a row of what they should be,
+    checked by ``_diff``.
     """
     bad = []
     l = len(s) - 1
     t = bar.cyclic
     faces, degens = here[s]
-    # the faces and the degeneracies of each face, and the degeneracies of
-    # each degeneracy; the faces of each degeneracy are taken a row at a time
+    # the faces and the degeneracies of each face and of each degeneracy
     ff, fs = zip(*[below.get(f) or _images(bar, f, l - 1) for f in faces]) if l else ((), ())
-    gs = [_row(bar.degeneracies, bar.degeneracy, g, l + 2) for g in degens]
+    gf, gs = zip(*[_images(bar, g, l + 1) for g in degens])
 
+    # each row below is compared as a tuple before a message closure is
+    # made for it: making one for every row costs ~5% of the suite
     if l >= 2:
         # d_a d_b for a < b is row b of ff, d_{b-1} d_a is column b - 1
         cols = list(zip(*ff))
         for b in range(1, l + 1):
-            if ff[b][:b] != cols[b - 1][:b]:
-                for a in range(b):
-                    if ff[b][a] != ff[a][b - 1]:
-                        bad.append(f"d_{a} d_{b} != d_{b-1} d_{a} at {s}")
+            if (got := ff[b][:b]) != (want := cols[b - 1][:b]):
+                _diff(bad, got, want, lambda a: f"d_{a} d_{b} != d_{b-1} d_{a} at {s}")
     # s_a s_b for a <= b is row b of gs, s_{b+1} s_a is column b + 1
     cols = list(zip(*gs))
     for b in range(l + 1):
-        if gs[b][: b + 1] != cols[b + 1][: b + 1]:
-            for a in range(b + 1):
-                if gs[b][a] != gs[a][b + 1]:
-                    bad.append(f"s_{a} s_{b} != s_{b+1} s_{a} at {s}")
+        if (got := gs[b][: b + 1]) != (want := cols[b + 1][: b + 1]):
+            _diff(bad, got, want, lambda a: f"s_{a} s_{b} != s_{b+1} s_{a} at {s}")
     # d_a s_b over a should be s_{b-1} d_a (a < b), s (a = b, b+1) and
     # s_b d_{a-1} (a > b+1), read down columns b - 1 and b of fs
     cols = [*zip(*fs), ()]
-    for b, g in enumerate(degens):
-        got = _row(bar.faces, bar.face, g, l + 2)
-        want = cols[b - 1][:b] + (s, s) + cols[b][b + 1 :]
-        if got != want:
-            for a in range(l + 2):
-                if got[a] != want[a]:
-                    bad.append(f"d_{a} s_{b} relation fails at {s}")
+    for b, got in enumerate(gf):
+        if got != (want := cols[b - 1][:b] + (s, s) + cols[b][b + 1 :]):
+            _diff(bad, got, want, lambda a: f"d_{a} s_{b} relation fails at {s}")
     r = s
     for _ in range(l + 1):
         r = t(r)
@@ -516,20 +519,10 @@ def _violations(bar, s, here, below):
     # the faces and the degeneracies of the rotation
     tf, tg = here.get(ts) or _images(bar, ts, l)
     if l >= 1:
-        if tf[0] != faces[l]:
-            bad.append(f"d_0 t != d_{l} at {s}")
-        want = tuple(map(t, faces[:l]))
-        if tf[1:] != want:
-            for a in range(1, l + 1):
-                if tf[a] != want[a - 1]:
-                    bad.append(f"d_{a} t != t d_{a-1} at {s}")
-    want = tuple(map(t, degens[:l]))
-    if tg[1:] != want:
-        for a in range(1, l + 1):
-            if tg[a] != want[a - 1]:
-                bad.append(f"s_{a} t != t s_{a-1} at {s}")
-    if tg[0] != t(t(degens[l])):
-        bad.append(f"s_0 t != t^2 s_{l} at {s}")
+        _diff(bad, tf[:1], faces[l:], lambda a: f"d_0 t != d_{l} at {s}")
+        _diff(bad, tf[1:], tuple(map(t, faces[:l])), lambda a: f"d_{a} t != t d_{a-1} at {s}", 1)
+    _diff(bad, tg[1:], tuple(map(t, degens[:l])), lambda a: f"s_{a} t != t s_{a-1} at {s}", 1)
+    _diff(bad, tg[:1], (t(t(degens[l])),), lambda a: f"s_0 t != t^2 s_{l} at {s}")
     return bad
 
 

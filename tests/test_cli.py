@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -134,6 +135,32 @@ def test_verify_enumerates_each_weight_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--k", "3", "--max-i", "7")
     assert code == 0
     assert calls == list(range(8))
+
+
+def _traced_peak(fn):
+    # garbage of earlier tests collected first, so the peak is fn's alone
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weight_check_runs_the_identity_suite_before_the_build(monkeypatch):
+    # the suite's image caches peak with no complex alive; elimination and
+    # the Smith form, which need the complex, are left out of both peaks
+    monkeypatch.setattr(cycbar.cli, "_verify_entry", lambda cx: None)
+
+    def build_first(k, i):
+        bar = CyclicBar(k)
+        wc = bar.enumerate_weight_component(i)
+        cx = cycbar.cli.chain_complex(wc)
+        return cx, cycbar.cli.weight_identity_violations(bar, wc)
+
+    # 2.67 against 3.38 MB when measured (Python 3.11)
+    assert _traced_peak(lambda: cycbar.cli._weight_check(4, 12)) < _traced_peak(lambda: build_first(4, 12))
 
 
 def test_selftest_computes_each_weight_once(capsys, monkeypatch):

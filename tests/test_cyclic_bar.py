@@ -509,9 +509,15 @@ class _RotateNoop(CyclicBar):
         return s
 
 
+class _RotateSwapsFront(CyclicBar):
+    # swaps the first two entries, so t^2 = id and t^(l+1) = id fails in even degrees >= 2
+    def cyclic(self, s):
+        return s if s is BASEPOINT else s[1:2] + s[:1] + s[2:]
+
+
 class _DegeneraciesSwappedHigh(CyclicBar):
     # from degree 3 up, s_1 and s_2 trade places: several relations of one
-    # row fail together, and the row's fallback must name them in order
+    # row fail together, and the suite must name them in order
     def degeneracies(self, s):
         g = super().degeneracies(s)
         return g[:1] + g[2:3] + g[1:2] + g[3:] if len(s) >= 4 else g
@@ -523,7 +529,20 @@ BROKEN_BARS = (
     _DegeneracyOneSlotLeft,
     _RotateLeft,
     _RotateNoop,
+    _RotateSwapsFront,
     _DegeneraciesSwappedHigh,
+)
+
+# one pattern per kind of message the suite writes, in the order it checks them
+MESSAGE_KINDS = (
+    r"d_\d+ d_\d+ != d_\d+ d_\d+",
+    r"s_\d+ s_\d+ != s_\d+ s_\d+",
+    r"d_\d+ s_\d+ relation fails",
+    r"t\^\d+ != id",
+    r"d_0 t != d_\d+",
+    r"d_\d+ t != t d_\d+",
+    r"s_\d+ t != t s_\d+",
+    r"s_0 t != t\^2 s_\d+",
 )
 
 
@@ -549,6 +568,21 @@ def test_identity_violations_match_reference():
                         caught[cls] += len(want)
     # each broken bar is caught, so the comparison covers failing relations
     assert all(caught.values()), caught
+
+
+def test_every_message_kind_is_caught_by_a_broken_bar():
+    # so the reference comparisons above cover every relation's message,
+    # with its index offsets, on a bar that breaks it
+    caught = {kind: set() for kind in MESSAGE_KINDS}
+    for k in range(2, 6):
+        for cls in BROKEN_BARS:
+            bar = cls(k)
+            for i in range(9):
+                for v in weight_identity_violations(bar, bar.enumerate_weight_component(i)):
+                    (kind,) = [kind for kind in MESSAGE_KINDS if re.fullmatch(f"{kind} at \\(.*\\)", v)]
+                    caught[kind].add(cls)
+    assert all(caught.values()), caught
+    assert caught[r"t\^\d+ != id"] == {_RotateSwapsFront}
 
 
 def test_weight_identity_violations_match_reference():
