@@ -14,8 +14,11 @@ Structure maps:
   around and multiplies the final entry into the front one,
   (a_0, ..., a_l) -> (a_l + a_0, a_1, ..., a_{l-1}).  A product that
   overflows the truncation collapses the whole simplex to the basepoint.
+  The faces are copied, one ``tuple`` call each, from one list whose
+  merge slot slides right, with no slicing per face.
 * ``degeneracies(s)`` gives all (s_0 s, ..., s_l s); s_idx inserts a unit
-  (exponent 0) after position idx.
+  (exponent 0) after position idx.  One list takes the unit in each
+  place in turn and is copied there, with no slicing per degeneracy.
 * ``cyclic(s)`` rotates the tuple one step to the right.
 
 The batched forms are the one implementation: ``face(s, idx)`` and
@@ -205,7 +208,12 @@ class CyclicBar:
         """All faces (d_0 s, ..., d_l s) of an l-simplex ``s``, l >= 1, as the module docstring defines them.
 
         Every entry of ``s`` is checked once per call.  The basepoint, which
-        has no degree, is refused: ``face`` takes it.
+        has no degree, is refused: ``face`` takes it.  The faces are copied
+        from one list, ``row``, whose merge slot slides right: it starts as
+        s_1, ..., s_l, and face a sets ``row[a]`` to s_a + s_{a+1}, takes
+        ``tuple(row)``, or the basepoint if the sum overflows, and puts s_a
+        back.  After the last merge ``row`` is s_0, ..., s_{l-1}, and the
+        wrap face sets its slot 0 to s_l + s_0.
         """
         if s is BASEPOINT:
             raise ValueError("the basepoint has no degree: face(BASEPOINT, idx) is BASEPOINT")
@@ -216,16 +224,27 @@ class CyclicBar:
         order = sorted(s)  # faster than min and max together on tuples this short
         if order[0] < 0 or order[-1] >= k:
             raise ValueError(f"entries of {s!r} are not all exponents of Pi_{k}")
-        return (
-            *[BASEPOINT if (m := s[a] + s[a + 1]) >= k else s[:a] + (m,) + s[a + 2:] for a in range(top)],
-            BASEPOINT if (m := s[top] + s[0]) >= k else (m,) + s[1:top],
-        )
+        row = list(s[1:])
+        faces = []
+        for a in range(top):
+            row[a] = m = s[a] + s[a + 1]
+            faces.append(BASEPOINT if m >= k else tuple(row))
+            row[a] = s[a]
+        row[0] = m = s[top] + s[0]
+        faces.append(BASEPOINT if m >= k else tuple(row))
+        return tuple(faces)
 
     def degeneracies(self, s):
         """All degeneracies (s_0 s, ..., s_l s) of an l-simplex ``s``; the basepoint is refused, as by ``faces``."""
         if s is BASEPOINT:
             raise ValueError("the basepoint has no degree: degeneracy(BASEPOINT, idx) is BASEPOINT")
-        return tuple([s[:b] + (0,) + s[b:] for b in range(1, len(s) + 1)])
+        row = list(s)
+        degens = []
+        for b in range(1, len(s) + 1):
+            row.insert(b, 0)
+            degens.append(tuple(row))
+            del row[b]
+        return tuple(degens)
 
     def face(self, s, idx):
         """Face d_idx of an l-simplex, 0 <= idx <= l: entry idx of ``faces(s)``.  Basepoint in, basepoint out."""
@@ -399,12 +418,14 @@ def identity_violations(bar, s):
     Each operator image is computed once, through ``bar``'s own methods:
     one ``bar.faces`` and one ``bar.degeneracies`` call each for ``s``,
     each face, each degeneracy and the rotation.  The basepoint, which has
-    no degree, is mapped by ``bar.face`` and ``bar.degeneracy``.  A batched
-    result whose length is not the degree plus one is refused with a
-    ``ValueError`` that names the operator and the simplex.  Each relation
-    is an entry of a row of images, read off the batches with ``zip``, set
-    against a row of what they should be; a failure is reported for each
-    index where two rows differ, in index order.  So the relations, their
+    no degree, is mapped by ``bar.face`` and ``bar.degeneracy``; a
+    degeneracy is never the basepoint, and a ``bar`` that makes one is
+    refused by its own ``faces``.  A batched result whose length is not
+    the degree plus one is refused with a ``ValueError`` that names the
+    operator and the simplex.  Each relation is an entry of a row of
+    images, read off the batches with ``zip``, set against a row of what
+    they should be; a failure is reported for each index where two rows
+    differ, in index order.  So the relations, their
     messages and their order are those of checking each from scratch.
     ``weight_identity_violations`` runs the same suite over a whole weight
     component and shares the images of faces between the simplices of
@@ -478,9 +499,13 @@ def _violations(bar, s, here, below):
 
     ``here`` maps ``s``, and maybe other l-simplices, to their images as
     ``_images`` lists them; ``below`` does the same for (l-1)-simplices.
-    The images of a face or of the rotation missing from them, and those
-    of each degeneracy, are computed through ``_images``.  Each family of
-    relations is a row of images against a row of what they should be,
+    The images of a face or of the rotation missing from them are computed
+    through ``_images``.  Those of the degeneracies, which are never kept,
+    come from ``bar.faces`` and ``bar.degeneracies`` mapped over them
+    directly, with no helper call per degeneracy.  If any has the wrong
+    length, the degeneracies are mapped again through ``_images``, which
+    refuses the first, in the order it would have met them.  Each family
+    of relations is a row of images against a row of what they should be,
     checked by ``_diff``.
     """
     bad = []
@@ -489,7 +514,10 @@ def _violations(bar, s, here, below):
     faces, degens = here[s]
     # the faces and the degeneracies of each face and of each degeneracy
     ff, fs = zip(*[below.get(f) or _images(bar, f, l - 1) for f in faces]) if l else ((), ())
-    gf, gs = zip(*[_images(bar, g, l + 1) for g in degens])
+    gf, gs = [*map(bar.faces, degens)], [*map(bar.degeneracies, degens)]
+    if {*map(len, gf), *map(len, gs)} != {l + 2}:
+        for g in degens:
+            _images(bar, g, l + 1)
 
     # each row below is compared as a tuple before a message closure is
     # made for it: making one for every row costs ~5% of the suite

@@ -127,13 +127,25 @@ def test_batched_operators_on_every_cell():
                 _check_batched_operators(bar, s)
 
 
+def test_batched_operators_on_degeneracy_images():
+    # the identity suite maps every degeneracy of a cell: units past slot 0,
+    # which the sliding row of faces must merge over and put back
+    for k in range(2, 6):
+        bar = CyclicBar(k)
+        for i in range(10):
+            for _, s in bar.enumerate_weight_component(i).simplices():
+                for g in bar.degeneracies(s):
+                    _check_batched_operators(bar, g)
+
+
 @given(
     st.integers(min_value=2, max_value=5).flatmap(
-        lambda k: st.tuples(st.just(k), st.lists(st.integers(-2, k + 2), min_size=1, max_size=7).map(tuple))
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(-2, k + 2), min_size=1, max_size=16).map(tuple))
     )
 )
 def test_batched_operators_on_any_tuple(data):
-    # entries outside [0, k - 1] included: faces must refuse them, degeneracies need not look
+    # entries outside [0, k - 1] included: faces must refuse them, degeneracies need not look;
+    # lengths up to 16 reach the degrees verify checks
     k, s = data
     _check_batched_operators(CyclicBar(k), s)
 
@@ -662,6 +674,19 @@ class _DegeneraciesOneTooMany(CyclicBar):
         return super().degeneracies(s) + (s + (0,),)
 
 
+class _FacesDropLastOnDegenerate(CyclicBar):
+    # short only on a unit past slot 0, as on every degeneracy
+    def faces(self, s):
+        out = super().faces(s)
+        return out[:-1] if is_degenerate(s) else out
+
+
+class _DegeneraciesOneTooManyOnDegenerate(CyclicBar):
+    def degeneracies(self, s):
+        out = super().degeneracies(s)
+        return out + (s + (0,),) if is_degenerate(s) else out
+
+
 def test_batched_result_of_wrong_length_is_refused():
     # zip would cut the rows short and skip relations, so the suite refuses the call
     bar = _FacesDropLast(3)
@@ -675,6 +700,23 @@ def test_batched_result_of_wrong_length_is_refused():
     bar = _DegeneraciesOneTooMany(3)
     with pytest.raises(ValueError, match=re.escape("_DegeneraciesOneTooMany.degeneracies((2,)) gave 2 images, want 1")):
         identity_violations(bar, (2,))
+    # the bars below are short only on degenerate input: cells and their
+    # faces pass, and the degeneracies are mapped before a degenerate rotation
+    bar = _FacesDropLastOnDegenerate(3)
+    message = re.escape("_FacesDropLastOnDegenerate.faces((0, 0, 1, 2)) gave 3 images, want 4")
+    with pytest.raises(ValueError, match=message):
+        identity_violations(bar, (0, 1, 2))
+    # weight 3 starts at degree 1, with (1, 2), whose s_0 is (1, 0, 2)
+    message = re.escape("_FacesDropLastOnDegenerate.faces((1, 0, 2)) gave 2 images, want 3")
+    with pytest.raises(ValueError, match=message):
+        weight_identity_violations(bar, bar.enumerate_weight_component(3))
+    bar = _DegeneraciesOneTooManyOnDegenerate(3)
+    message = re.escape("_DegeneraciesOneTooManyOnDegenerate.degeneracies((0, 0, 1, 2)) gave 5 images, want 4")
+    with pytest.raises(ValueError, match=message):
+        identity_violations(bar, (0, 1, 2))
+    message = re.escape("_DegeneraciesOneTooManyOnDegenerate.degeneracies((1, 0, 2)) gave 4 images, want 3")
+    with pytest.raises(ValueError, match=message):
+        weight_identity_violations(bar, bar.enumerate_weight_component(3))
 
 
 def test_identity_violations_rejects_bad_simplices():
