@@ -236,16 +236,8 @@ def _run_jobs(fn, items, jobs):
 
 
 def _verdict_node(v):
-    return {
-        "p": v.p,
-        "k": v.k,
-        "integral_iso": v.integral_iso,
-        "p_inverted_iso": v.p_inverted_iso,
-        "witness_weight": v.witness_weight,
-        "witness_exponent": v.witness_exponent,
-        "exponent_sup": "infinity" if v.exponent_sup is inf else v.exponent_sup,
-        "remark": v.remark,
-    }
+    node = dict(zip(v.__match_args__, v._astuple))  # the keys are the field names: renaming one changes the JSON
+    return {**node, "exponent_sup": "infinity"} if v.exponent_sup is inf else node
 
 
 def _verdict_lines(node):
@@ -270,11 +262,11 @@ def cmd_homology(args):
             raise UsageError(f"{refused}: count entries alone pass them at weight {i}")
     components = []
     for i in range(lo, hi + 1):
-        groups, left = _morse_walk(k, i, left)
-        if groups is None:
+        nonzero, left = _morse_walk(k, i, left)
+        if nonzero is None:
             raise UsageError(f"{refused}: count entries and walked faces pass them at weight {i}")
         degrees = [
-            {"degree": l, "basis_size": size, "homology": _group_node(groups[l])}
+            {"degree": l, "basis_size": size, "homology": _group_node(nonzero.get(l, ZERO_GROUP))}
             for l, size in enumerate(cell_counts(k, i))
         ]
         components.append({"i": i, "degrees": degrees})

@@ -279,13 +279,6 @@ def _eliminate_unit_pivots(triplets):
     return units, residual
 
 
-def _invariant_factors(triplets, m, n):
-    """Smith form diagonal of the m x n matrix given by sparse triplets."""
-    units, residual = _eliminate_unit_pivots(triplets)
-    out = [1] * units + smith_normal_form(residual)
-    return out + [0] * (min(m, n) - len(out))
-
-
 class ChainComplex(_Value):
     """Normalized reduced chains of one weight component.
 
@@ -406,22 +399,17 @@ def homology_groups(cx):
     Degree l has rank dim_l - rank(d_l) - rank(d_{l+1}) and torsion the
     invariant factors of d_{l+1} exceeding 1.  Each d_l is reduced in two
     stages (Dumas, Heckenbach, Saunders and Welker, 2003): +-1 pivots are
-    eliminated on its sparse triplets, and only the residual without unit
-    entries goes to the dense ``smith_normal_form``.
+    eliminated on its sparse triplets, each of rank 1, and the dense Smith
+    form of the unit-free residual gives the rest, with all factors above 1.
     """
     top = cx.top_degree
-    factors = {}
+    ranks, torsion = [0] * (top + 2), [()] * (top + 2)
     for l in range(1, top + 1):
-        factors[l] = _invariant_factors(
-            cx.boundaries[l], cx.dimension(l - 1), cx.dimension(l)
-        )
-    ranks = {l: sum(1 for d in f if d) for l, f in factors.items()}
-    out = {}
-    for l in range(top + 1):
-        rank = cx.dimension(l) - ranks.get(l, 0) - ranks.get(l + 1, 0)
-        torsion = tuple(d for d in factors.get(l + 1, ()) if d > 1)
-        out[l] = AbelianGroup(rank, torsion)
-    return out
+        units, residual = _eliminate_unit_pivots(cx.boundaries[l])
+        diagonal = smith_normal_form(residual)
+        ranks[l] = units + len(diagonal) - diagonal.count(0)
+        torsion[l] = tuple(d for d in diagonal if d > 1)
+    return {l: AbelianGroup(cx.dimension(l) - ranks[l] - ranks[l + 1], torsion[l + 1]) for l in range(top + 1)}
 
 
 # the most faces one morse_homology walk may pop, and the most steps of a cycbar homology run
@@ -449,22 +437,24 @@ def morse_homology(k, i):
     two critical cells of the matching in the module docstring and one
     walk of the gradient paths from the high cell; each popped cell's faces
     come from one ``CyclicBar.faces`` call, the operator the identity suite
-    checks.  Nothing is enumerated and nothing is reduced.
+    checks.  Nothing is enumerated or reduced, and the zeros are filled in.
     A walk past ``MORSE_FLOW_BUDGET`` faces is refused with a ``ValueError``.
     """
-    groups, _ = _morse_walk(k, i, MORSE_FLOW_BUDGET)
-    if groups is None:
+    nonzero, _ = _morse_walk(k, i, MORSE_FLOW_BUDGET)
+    if nonzero is None:
         raise ValueError(f"the Morse flow of weight {i} at k={k} took more than {MORSE_FLOW_BUDGET} faces")
-    return groups
+    return {l: nonzero.get(l, ZERO_GROUP) for l in range(i + 1)}
 
 
 def _morse_walk(k, i, budget):
-    """The groups of ``morse_homology``, or None past ``budget`` faces, and what is left of it."""
+    """The nonzero groups of ``morse_homology``, or None past ``budget`` faces, and what is left of it.
+
+    {n: Z/|m|}, or {n: Z, n + 1: Z} when m is 0 (n the low cell's degree); {0: Z} at weight 0.
+    """
     bar = CyclicBar(k)
     _require_nonnegative_weight(i)
     if i == 0:
         return {0: AbelianGroup.free(1)}, budget
-    groups = dict.fromkeys(range(i + 1), ZERO_GROUP)
     d = (i - 1) // k
     odd = ((i - 1) % k,) + (1, k - 1) * d + (1,)
     even = (i % k,) + (1, k - 1) * (i // k)
@@ -487,10 +477,9 @@ def _morse_walk(k, i, budget):
                 m += -c if a % 2 else c  # f is the low cell
             # an upper face is matched down: no gradient path leaves it
     n = len(low) - 1
-    groups[n] = AbelianGroup.cyclic(abs(m)) if m else AbelianGroup.free(1)
-    if not m:
-        groups[n + 1] = AbelianGroup.free(1)
-    return groups, budget
+    if m:
+        return {n: AbelianGroup.cyclic(abs(m))}, budget
+    return {n: AbelianGroup.free(1), n + 1: AbelianGroup.free(1)}, budget
 
 
 class WeightPieceReport(_Value):

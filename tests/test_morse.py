@@ -24,6 +24,7 @@ from cycbar.homology import (
     homology_groups,
     morse_homology,
 )
+from cycbar.tate_tp import nil_invariance_report, p_adic_valuation
 
 
 def _split(s, t):
@@ -213,7 +214,7 @@ def _reference_morse_walk(k, i, budget):
     """``_morse_walk`` as it read before it took each cell's faces in one call.
 
     One ``CyclicBar.face`` call per face, the skipped face not computed.
-    It is the oracle that ``_morse_walk`` must match, groups and budget left.
+    It is the oracle that ``_morse_walk`` must match: its nonzero groups and the budget left.
     """
     bar = CyclicBar(k)
     if i == 0:
@@ -248,10 +249,30 @@ def _reference_morse_walk(k, i, budget):
     return groups, budget
 
 
+def _nonzero(walk):
+    """A walk's groups with the trivial ones left out, and the budget left."""
+    groups, left = walk
+    return (None if groups is None else {l: g for l, g in groups.items() if not g.is_trivial}), left
+
+
 def test_walk_matches_per_face_reference():
-    # the walk takes each cell's faces from CyclicBar.faces, the operator the identity suite checks
+    # the walk takes each cell's faces from CyclicBar.faces, the operator the identity suite
+    # checks, and returns only the nonzero groups the reference lists among its zeros
     for k in range(2, 8):
         for i in range(61):
-            assert _morse_walk(k, i, MORSE_FLOW_BUDGET) == _reference_morse_walk(k, i, MORSE_FLOW_BUDGET), (k, i)
+            walk = _morse_walk(k, i, MORSE_FLOW_BUDGET)
+            assert walk == _nonzero(_reference_morse_walk(k, i, MORSE_FLOW_BUDGET)), (k, i)
+            assert len(walk[0]) in (1, 2), (k, i)
     # and runs out of budget at the same face
     assert _morse_walk(5, 16, 255) == _reference_morse_walk(5, 16, 255) == (None, -1)
+
+
+@pytest.mark.parametrize("p, k", [(2, 12), (3, 18), (5, 5**5), (2, 2**14), (7, 77)])
+def test_tp_witness_weight_has_computed_group_z_mod_k(p, k):
+    # when p | k the verdict's witness is weight k; the walk computes its one group, Z/k in
+    # degree 1, and the witness exponent is v_p(k); the verdict itself stays closed-form
+    v = nil_invariance_report(p, k)
+    groups = morse_homology(k, v.witness_weight)
+    assert len(groups) == k + 1
+    assert {l: g for l, g in groups.items() if not g.is_trivial} == {1: AbelianGroup.cyclic(k)}
+    assert p_adic_valuation(p, k) == v.witness_exponent
