@@ -7,8 +7,9 @@ Commands:
   off the two critical cells of the a_0 Morse matching
   (``morse_homology``), so no simplex is listed and no matrix reduced.
   A run takes at most ``MORSE_FLOW_BUDGET`` steps, one per count entry
-  or walked face: the counts are charged first, so a range they pass
-  starts nothing, and each weight's walk draws on what is left.
+  or walked face, and lists at most ``HOMOLOGY_ROW_LIMIT`` degrees: the
+  counts and rows are charged first, so a range they pass starts
+  nothing, and each weight's walk draws on what is left.
 * ``verify``: computed homology of every weight 1..max_i against the
   closed form (Z in degrees 2d, 2d+1, or Z/k in degree 2d+1 when k | i),
   plus the operator-identity and alternating-count suites.  It stays
@@ -16,7 +17,8 @@ Commands:
   matrix, and refuses, before any of that, a range whose cells weigh
   more than ``VERIFY_WORK_BUDGET``, (l + 1)**3 per cell of degree l.
 * ``tp``: the factor table of one degree of the relative periodic
-  theory, with truncation notice and verdicts.
+  theory, with truncation notice and verdicts, to at most
+  ``TP_TRUNCATE_LIMIT`` weights.
 * ``verdict``: nil-invariance verdicts for one pair (p, k).
 * ``selftest``: the built-in property suite on a fixed small range.
 
@@ -61,6 +63,13 @@ class UsageError(ValueError):
     """Bad command line input; maps to exit code 2."""
 
 
+# the most degree rows one homology run lists: at k=2, where each degree holds one
+# count entry, 50,000 rows take ~0.7 s and ~110 MB as JSON, and the steps would admit 30x more
+HOMOLOGY_ROW_LIMIT = 50_000
+
+# the largest tp --truncate: at 10**7, tp --format json takes ~3.3 s and writes ~1.2 GB
+TP_TRUNCATE_LIMIT = 10_000_000
+
 # the most work verify takes on, weighed before any cell is listed: a cell of degree l
 # weighs (l + 1)**3, since its identity suite takes ~l**2 faces of l + 1 entries each
 VERIFY_WORK_BUDGET = 100_000_000
@@ -104,8 +113,9 @@ def build_parser():
         help="homology of weight components, from the two critical cells of the a_0 Morse matching",
         description="Basis sizes of weight components, counted, and their integral homology, read "
         "off the two critical cells of the a_0 Morse matching: nothing is listed or reduced.  A "
-        f"run of more than {MORSE_FLOW_BUDGET} steps is refused: one per count entry, (i + 1)**2 "
-        "per weight, all charged first, and one per face a walk takes.  verify stays exhaustive.",
+        f"run of more than {MORSE_FLOW_BUDGET} steps is refused: one per count entry, "
+        "min(i, l(k - 1)) - l + 1 in degree l of weight i, all charged first, and one per face a "
+        f"walk takes.  So is a run listing more than {HOMOLOGY_ROW_LIMIT} degrees.  verify stays exhaustive.",
     )
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--i", required=True, help="weight or inclusive range A..B")
@@ -130,7 +140,7 @@ def build_parser():
     sp.add_argument("--p", type=int, required=True, help="prime")
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--j", type=int, required=True, help="degree")
-    sp.add_argument("--truncate", type=int, required=True, help="largest weight listed")
+    sp.add_argument("--truncate", type=int, required=True, help=f"largest weight listed, at most {TP_TRUNCATE_LIMIT}")
     common(sp)
     sp.set_defaults(handler=cmd_tp, lines=_tp_lines)
 
@@ -163,6 +173,8 @@ def _check_args(args):
         raise UsageError(f"--p must be a prime >= 2, got {args.p}")
     if given.get("truncate", 1) < 1:
         raise UsageError(f"--truncate must be >= 1, got {args.truncate}")
+    if given.get("truncate", 1) > TP_TRUNCATE_LIMIT:
+        raise UsageError(f"--truncate must be at most {TP_TRUNCATE_LIMIT}, got {args.truncate}")
 
 
 def _group_node(group):
@@ -252,14 +264,29 @@ def _verdict_lines(node):
     ]
 
 
+def _count_entries(k, i):
+    """The entries ``cell_counts(k, i)`` fills, its bands summed in closed form.
+
+    The band of degree l holds min(i, l(k-1)) - l + 1 entries: l(k-2) + 1
+    for the degrees l <= i // (k-1), and i - l + 1 for the ones above.
+    """
+    full = i // (k - 1)
+    return (k - 2) * full * (full + 1) // 2 + full + 1 + (i - full) * (i - full + 1) // 2
+
+
 def cmd_homology(args):
     """Counts and groups of the weights of --i, in at most ``MORSE_FLOW_BUDGET`` steps in all."""
     k, (lo, hi), left = args.k, _parse_weight_range(args.i), MORSE_FLOW_BUDGET
-    refused = f"homology --k {k} --i {args.i} takes more than its {MORSE_FLOW_BUDGET} steps"
-    for i in range(lo, hi + 1):  # every count, (i + 1)**2 entries, is charged before any walk
-        left -= (i + 1) ** 2
+    command = f"homology --k {k} --i {args.i}"
+    refused = f"{command} takes more than its {MORSE_FLOW_BUDGET} steps"
+    rows = 0
+    for i in range(lo, hi + 1):  # every count and every row is charged before any walk
+        left -= _count_entries(k, i)
         if left < 0:
             raise UsageError(f"{refused}: count entries alone pass them at weight {i}")
+        rows += i + 1
+        if rows > HOMOLOGY_ROW_LIMIT:
+            raise UsageError(f"{command} lists more than {HOMOLOGY_ROW_LIMIT} degrees: they pass it at weight {i}")
     components = []
     for i in range(lo, hi + 1):
         nonzero, left = _morse_walk(k, i, left)

@@ -70,6 +70,9 @@ facts are checked against enumeration and elimination in the tests, not
 proved by the code.
 """
 
+from itertools import groupby
+from operator import itemgetter
+
 from .cyclic_bar import (
     BASEPOINT,
     CyclicBar,
@@ -315,34 +318,48 @@ class ChainComplex(_Value):
         """Exact check that consecutive differentials compose to zero.
 
         Row r of ``d_{l-1} d_l`` is the sum, over the entries ``(r, mid, w)``
-        of ``d_{l-1}``, of ``w`` times row ``mid`` of ``d_l``.  Each degree's
-        triplets are put in (row, col) order by ``sorted``, which is linear
-        on the order ``chain_complex`` makes and right for any other; then
-        the row runs of ``d_{l-1}`` are walked, and for each entry the run
-        of row ``mid`` of ``d_l``, found through a list of where each run
-        starts.  One row of the product is summed at a time, exactly, and
-        the first nonzero row ends the check.  Besides the sorted copies
-        of two degrees, only that row and the run starts are held.
+        of ``d_{l-1}``, of ``w`` times row ``mid`` of ``d_l``; it is zero
+        exactly when its positive and negative terms hold the same columns,
+        counted.  Each row ``mid`` of ``d_l`` is split once into ``plus[mid]``
+        and ``minus[mid]``, an entry ``v`` repeated ``|v|`` times in the list
+        of its sign.  The triplets of ``d_{l-1}`` are sorted (linear on the
+        order ``chain_complex`` makes, right for any other), and each entry
+        of a row run extends ``pos`` by ``plus[mid]`` and ``neg`` by
+        ``minus[mid]``, swapped when ``w < 0`` and repeated ``|w|`` times;
+        the row is zero when the two lists are equal, or equal once sorted.
+        So each term is a list extend in C, not a Python step, and the first
+        nonzero row ends the check.  Besides the triplets, one sorted degree,
+        the split of the next and one row are held: about 0.17 of the
+        triplets' bytes at ``k=5, i=12`` (``tracemalloc``).
         """
-        upper = sorted(self.boundaries[1]) if self.top_degree >= 1 else []
         for l in range(2, self.top_degree + 1):
-            lower, upper = upper, sorted(self.boundaries[l])
-            # row mid of d_l is upper[starts[mid]:starts[mid + 1]]
-            starts = [0] * (self.dimension(l - 1) + 1)
-            for mid, _, _ in upper:
-                starts[mid + 1] += 1
-            for mid in range(1, len(starts)):
-                starts[mid] += starts[mid - 1]
-            acc, row = {}, None
-            for r, mid, w in lower:
-                if r != row:
-                    if any(acc.values()):
+            plus = [[] for _ in range(self.dimension(l - 1))]
+            minus = [[] for _ in range(self.dimension(l - 1))]
+            for mid, c, v in self.boundaries[l]:
+                if v == 1:
+                    plus[mid].append(c)
+                elif v == -1:
+                    minus[mid].append(c)
+                else:
+                    (plus if v > 0 else minus)[mid].extend([c] * abs(v))
+            for _, run in groupby(sorted(self.boundaries[l - 1]), itemgetter(0)):
+                pos, neg = [], []
+                for _, mid, w in run:
+                    if w == 1:
+                        pos += plus[mid]
+                        neg += minus[mid]
+                    elif w == -1:
+                        pos += minus[mid]
+                        neg += plus[mid]
+                    else:
+                        up, down = (plus[mid], minus[mid]) if w > 0 else (minus[mid], plus[mid])
+                        pos += up * abs(w)
+                        neg += down * abs(w)
+                if pos != neg:
+                    pos.sort()
+                    neg.sort()
+                    if pos != neg:
                         return False
-                    acc, row = {}, r
-                for _, c, v in upper[starts[mid] : starts[mid + 1]]:
-                    acc[c] = acc.get(c, 0) + w * v
-            if any(acc.values()):
-                return False
         return True
 
     def __repr__(self):

@@ -227,26 +227,26 @@ def test_homology_large_weight(capsys):
 
 
 def test_homology_refuses_a_long_morse_flow(capsys, monkeypatch):
-    # k=5, i=15..16: 16**2 + 17**2 = 545 count entries, then walks of 224 and 256
-    # faces, 1025 steps in all; the run is refused where its one budget runs out
-    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 1025)
+    # k=5, i=15..16: 100 + 113 = 213 count entries, then walks of 224 and 256
+    # faces, 693 steps in all; the run is refused where its one budget runs out
+    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 693)
     assert run(capsys, "homology", "--k", "5", "--i", "15..16")[0] == 0
-    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 1024)
+    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 692)
     assert run(capsys, "homology", "--k", "5", "--i", "15..16") == (
-        2, "", "error: homology --k 5 --i 15..16 takes more than its 1024 steps: "
+        2, "", "error: homology --k 5 --i 15..16 takes more than its 692 steps: "
         "count entries and walked faces pass them at weight 16\n",
     )
-    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 768)
+    monkeypatch.setattr(cycbar.cli, "MORSE_FLOW_BUDGET", 436)
     code, out, err = run(capsys, "homology", "--k", "5", "--i", "15..16")
     assert (code, out) == (2, "") and err.endswith("at weight 15\n")
 
 
 def test_homology_budget_spans_the_run(capsys):
-    # k=5 admits weight 150 alone, but weights 0..150 together run out at weight 90;
-    # k=2 walks two cells per weight, so its counts set its edge
+    # k=5 admits weight 150 alone, but weights 0..150 together run out at weight 95;
+    # k=2 walks two cells per weight, so its rows set its edge
     assert run(capsys, "homology", "--k", "5", "--i", "0..150") == (
         2, "", "error: homology --k 5 --i 0..150 takes more than its 3000000 steps: "
-        "count entries and walked faces pass them at weight 90\n",
+        "count entries and walked faces pass them at weight 95\n",
     )
     code, out, _ = run(capsys, "homology", "--k", "2", "--i", "0..200", "--format", "json")
     assert code == 0
@@ -254,8 +254,8 @@ def test_homology_budget_spans_the_run(capsys):
 
 
 def test_homology_refuses_above_the_count_budget_before_starting(capsys, monkeypatch):
-    # every weight's count, (i + 1)**2 entries, is charged before any weight starts,
-    # so a range whose counts alone pass the budget neither counts nor walks
+    # every weight's count, the entries of its bands, is charged before any weight
+    # starts, so a range whose counts alone pass the budget neither counts nor walks
     started = []
     monkeypatch.setattr(cycbar.cli, "cell_counts", lambda k, i: started.append(i) or [])
     monkeypatch.setattr(cycbar.cli, "_morse_walk", lambda k, i, left: (started.append(i) or {}, left))
@@ -265,18 +265,47 @@ def test_homology_refuses_above_the_count_budget_before_starting(capsys, monkeyp
         "error: homology --k 100000 --i 99999 takes more than its 3000000 steps: "
         "count entries alone pass them at weight 99999\n"
     )
-    # weight i fills (i + 1)**2 entries: 1731 fills 2999824 and is admitted, 1732 is not;
-    # weights 0..206 fill 2978040 and 0..207 fill 3021304
-    assert run(capsys, "homology", "--k", "2", "--i", "1732")[0] == 2
-    assert run(capsys, "homology", "--k", "5", "--i", "0..207")[0] == 2
-    code, _, err = run(capsys, "homology", "--k", "2", "--i", "0..10000000000000000000000")
-    assert code == 2 and err.endswith("count entries alone pass them at weight 207\n")
+    # degree l of weight i fills min(i, l(k-1)) - l + 1 entries: at k=3, weight 3462
+    # fills 2999824 and is admitted, 3463 is not; at k=5, weights 0..286 fill 2980800
+    # and 0..287 fill 3011976
+    assert run(capsys, "homology", "--k", "3", "--i", "3463")[0] == 2
+    assert run(capsys, "homology", "--k", "5", "--i", "0..287")[0] == 2
+    code, _, err = run(capsys, "homology", "--k", "5", "--i", "0..10000000000000000000000")
+    assert code == 2 and err.endswith("count entries alone pass them at weight 287\n")
     assert started == []
-    assert run(capsys, "homology", "--k", "2", "--i", "1731")[0] == 0
-    assert started == [1731, 1731]
+    assert run(capsys, "homology", "--k", "3", "--i", "3462")[0] == 0
+    assert started == [3462, 3462]
     started.clear()
-    assert run(capsys, "homology", "--k", "5", "--i", "0..206")[0] == 0
-    assert len(started) == 2 * 207
+    assert run(capsys, "homology", "--k", "5", "--i", "0..286")[0] == 0
+    assert len(started) == 2 * 287
+
+
+def test_homology_count_charge_is_the_band_sum():
+    for k in range(2, 8):
+        for i in range(60):
+            bands = sum(max(0, min(i, l * (k - 1)) - l + 1) for l in range(i + 1))
+            assert cycbar.cli._count_entries(k, i) == bands, (k, i)
+
+
+def test_homology_refuses_above_the_row_limit_before_starting(capsys, monkeypatch):
+    # at k=2 a degree holds one count entry, so the listed rows, i + 1 per weight,
+    # bound the run long before its steps do
+    started = []
+    monkeypatch.setattr(cycbar.cli, "cell_counts", lambda k, i: started.append(i) or [])
+    monkeypatch.setattr(cycbar.cli, "_morse_walk", lambda k, i, left: (started.append(i) or {}, left))
+    assert run(capsys, "homology", "--k", "2", "--i", "50000") == (
+        2, "", "error: homology --k 2 --i 50000 lists more than 50000 degrees: they pass it at weight 50000\n",
+    )
+    # weights 0..314 list 49770 rows and 0..315 list 50086
+    code, _, err = run(capsys, "homology", "--k", "2", "--i", "0..10000000000000000000000")
+    assert code == 2 and err.endswith("lists more than 50000 degrees: they pass it at weight 315\n")
+    assert run(capsys, "homology", "--k", "2", "--i", "0..315")[0] == 2
+    assert started == []
+    assert run(capsys, "homology", "--k", "2", "--i", "49999")[0] == 0
+    assert started == [49999, 49999]
+    started.clear()
+    assert run(capsys, "homology", "--k", "2", "--i", "0..314")[0] == 0
+    assert len(started) == 2 * 315
 
 
 def test_verify_refuses_above_the_cell_budget_before_enumerating(capsys, monkeypatch):
@@ -820,12 +849,24 @@ USAGE_ERRORS = [
      "--k must be >= 2, got 1"),
     (("tp", "--p", "1", "--k", "2", "--j", "1", "--truncate", "0"),
      "--p must be a prime >= 2, got 1"),
+    # tp's table has an upper bound too
+    (("tp", "--p", "2", "--k", "6", "--j", "1", "--truncate", "10000001"),
+     "--truncate must be at most 10000000, got 10000001"),
+    (("tp", "--p", "2", "--k", "6", "--j", "1", "--truncate", "1000000000000"),
+     "--truncate must be at most 10000000, got 1000000000000"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
 def test_usage_error_messages(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_tp_truncate_limit_is_admitted():
+    # at 10**7 the table takes seconds and ~1.2 GB of JSON, so only the check runs here
+    argv = ["tp", "--p", "2", "--k", "6", "--j", "1", "--truncate", str(cycbar.cli.TP_TRUNCATE_LIMIT)]
+    assert cycbar.cli.TP_TRUNCATE_LIMIT == 10**7
+    cycbar.cli._check_args(cycbar.cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("target", ["dir", "missing/report.json"])
