@@ -16,6 +16,10 @@ Commands:
   exhaustive: it enumerates every simplex and reduces every boundary
   matrix, and refuses, before any of that, a range whose cells weigh
   more than ``VERIFY_WORK_BUDGET``, (l + 1)**3 per cell of degree l.
+  Without ``--jobs``, a range weighing at least ``VERIFY_FAN_OUT_WORK``
+  fans its weights out, one worker process per usable CPU, heaviest
+  weight first; a lighter one, or a platform where no pool starts, runs
+  serially.  Either way the bytes are those of ``--jobs 1``.
 * ``tp``: the factor table of one degree of the relative periodic
   theory, with truncation notice and verdicts, to at most
   ``TP_TRUNCATE_LIMIT`` weights.
@@ -35,10 +39,11 @@ to stdout or ``--out`` (opened only once the report is ready), and
 picks the exit code.  ``--format json`` prints the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` (sorted keys, so
 identical inputs give identical bytes): one ``json.dumps`` call per
-top-level value, and one per shape ``(exponent, k | i)`` of ``tp``'s
-records, whose text each record of that shape repeats around its weight
-in both formats.  Each block of 1,024 records, as JSON or as text rows,
-and each other text line is written as it is made.  Exit codes: 0 on
+top-level value or item of a top-level list, and one per shape
+``(exponent, k | i)`` of ``tp``'s records, whose text each record of
+that shape repeats around its weight in both formats.  Each block of
+1,024 records, as JSON or as text rows, each list item and each other
+text line is written as it is made.  Exit codes: 0 on
 success, 1 when the report's ``ok`` is false (a mathematical check
 failed), 2 for usage or validation errors, and for a failed write to
 stdout or ``--out``.
@@ -49,7 +54,7 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from math import inf
 
 from .cyclic_bar import CyclicBar, cell_counts, weight_identity_violations
@@ -73,6 +78,12 @@ TP_TRUNCATE_LIMIT = 10_000_000
 # the most work verify takes on, weighed before any cell is listed: a cell of degree l
 # weighs (l + 1)**3, since its identity suite takes ~l**2 faces of l + 1 entries each
 VERIFY_WORK_BUDGET = 100_000_000
+
+# the least work verify fans out over its CPUs when --jobs is not given.  Fresh runs, serial
+# against two workers, median of 9 (Python 3.11, 2-vCPU Xeon): k=3 at work 3.6e5 0.103 s
+# against 0.107 s and at 7.5e5 0.143 against 0.134 s; k=5 at 4.0e5 0.146 against 0.131 s;
+# k=2, a few cells each heavy, at 8.4e5 0.087 against 0.104 s and at 3.4e6 0.156 against 0.140 s
+VERIFY_FAN_OUT_WORK = 500_000
 
 
 def _parse_weight_range(text):
@@ -130,8 +141,9 @@ def build_parser():
     sp.add_argument("--k", type=int, required=True, help="truncation order, >= 2")
     sp.add_argument("--max-i", type=int, required=True, help="largest weight checked")
     sp.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for independent weights, at most one per CPU (default: 1)",
+        "--jobs", type=int, default=None,
+        help="worker processes for independent weights, at most one per CPU and heaviest weight "
+        f"first (default: one per CPU when the cells weigh at least {VERIFY_FAN_OUT_WORK}, else 1)",
     )
     common(sp)
     sp.set_defaults(handler=cmd_verify, lines=_verify_lines)
@@ -163,7 +175,7 @@ def _check_args(args):
     Each subcommand has only its own options, so an absent one passes.
     """
     given = vars(args)
-    if given.get("jobs", 1) < 1:
+    if given.get("jobs") is not None and args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if given.get("k", 2) < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
@@ -210,7 +222,7 @@ def _weight_check(k, i, dd=False):
     The only place the per-weight rules live.  Weight i >= 1 gets a
     closed-form ``piece`` and an ``euler`` node; ``dd`` is checked only
     when asked for.  The record holds no simplices and no matrices, since
-    ``--jobs`` ships it between processes.  The identity suite runs first,
+    the pool ships it between processes.  The identity suite runs first,
     so its image caches and the complex are never held at once.
     """
     bar = CyclicBar(k)
@@ -234,6 +246,13 @@ def _worker_count(jobs, n_items):
 
 
 def _run_jobs(fn, items, jobs):
+    """``[fn(x) for x in items]``, over up to ``jobs`` worker processes.
+
+    The pool takes the items last first, so the heaviest of ``verify``'s
+    weights starts at once instead of running alone at the end; the
+    records still come back in item order.  Where no pool can be made (no
+    working semaphores or no ``fork``), the items run here, one by one.
+    """
     items = list(items)
     workers = _worker_count(jobs, len(items))
     if workers > 1:
@@ -242,8 +261,13 @@ def _run_jobs(fn, items, jobs):
         # and this module (Python 3.11, 2-vCPU Xeon)
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except (OSError, NotImplementedError):
+            pass
+        else:
+            with pool:
+                return list(pool.map(fn, reversed(items)))[::-1]
     return [fn(x) for x in items]
 
 
@@ -321,7 +345,9 @@ def cmd_verify(args):
                 f"{VERIFY_WORK_BUDGET}: the cells of weights 0..{i} weigh {work}, "
                 "(l + 1)**3 each in degree l"
             )
-    records = _run_jobs(partial(_weight_check, args.k), range(args.max_i + 1), args.jobs)
+    # without --jobs, one worker per usable CPU once the work pays for the pool's start
+    jobs = args.jobs or (inf if work >= VERIFY_FAN_OUT_WORK else 1)
+    records = _run_jobs(partial(_weight_check, args.k), range(args.max_i + 1), jobs)
     entries = [r["piece"] for r in records if r["piece"]]
     euler = [r["euler"] for r in records if r["euler"]]
     violations = [v for r in records for v in r["violations"]]
@@ -529,6 +555,8 @@ def _json_chunks(report):
     ``report`` is a nonempty dict with text keys.  Each value is one
     ``json.dumps`` call, moved one level in: the encoder escapes every
     newline inside a string, so each raw newline starts a line.  A
+    nonempty list goes out one chunk per item, each item's call moved two
+    levels in, so no chunk holds all of ``homology``'s rows.  A
     ``_FactorTable`` goes out one chunk per block, each record its shape's
     cached JSON around the weight, so no chunk holds ``tp``'s table and no
     record calls the encoder.
@@ -537,16 +565,17 @@ def _json_chunks(report):
     for key in sorted(report):
         value = report[key]
         yield lead + json.dumps(key) + ": "
+        lead = ",\n  "
         if type(value) is _FactorTable:
-            sep = "[\n    "
-            for block in value:
-                # made inside the yield, so no local holds this text while the next block is made
-                yield sep + ",\n    ".join([f"{head}{i}{tail}" for i, (head, tail, _) in block])
-                sep = ",\n    "
-            yield "\n  ]"
+            items = (",\n    ".join([f"{head}{i}{tail}" for i, (head, tail, _) in block]) for block in value)
+        elif type(value) is list and value:
+            items = (json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ") for item in value)
         else:
             yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        lead = ",\n  "
+            continue
+        # each item's text is made inside the map, so no local holds it while the next is made
+        yield from map(str.__add__, chain(["[\n    "], repeat(",\n    ")), items)
+        yield "\n  ]"
     yield "\n}"
 
 

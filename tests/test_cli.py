@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import gc
 import io
 import json
@@ -115,12 +117,88 @@ def test_verify_json_shape(capsys):
 
 
 def test_verify_with_jobs_matches_serial(capsys):
-    code1, out1, _ = run(capsys, "verify", "--k", "2", "--max-i", "6",
-                         "--format", "json")
-    code2, out2, _ = run(capsys, "verify", "--k", "2", "--max-i", "6",
-                         "--format", "json", "--jobs", "2")
+    # weights 0..9 of k=3 hold 1 to 110 cells, so the workers finish out of order
+    argv = ("verify", "--k", "3", "--max-i", "9", "--format", "json")
+    code1, out1, _ = run(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run(capsys, *argv, "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _two_cpus(monkeypatch):
+    # the pool route is taken whatever the host's CPU count
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_verify_fans_out_by_default_with_the_serial_bytes(capsys, monkeypatch):
+    # weights 0..13 of k=3 weigh 1,544,762, above VERIFY_FAN_OUT_WORK
+    _two_cpus(monkeypatch)
+    made = []
+    pool = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(
+        "concurrent.futures.ProcessPoolExecutor", lambda max_workers: made.append(max_workers) or pool(max_workers)
+    )
+    for fmt in ("text", "json"):
+        argv = ("verify", "--k", "3", "--max-i", "13", "--format", fmt)
+        fanned, serial = run(capsys, *argv), run(capsys, *argv, "--jobs", "1")
+        assert fanned == serial and fanned[0] == 0
+    assert made == [2, 2]
+
+
+def test_verify_below_the_fan_out_work_starts_no_pool(capsys, monkeypatch):
+    # weights 0..7 of k=3 weigh 13,946
+    _two_cpus(monkeypatch)
+
+    def refused(max_workers):
+        raise AssertionError("no pool below VERIFY_FAN_OUT_WORK")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refused)
+    code, out, _ = run(capsys, "verify", "--k", "3", "--max-i", "7")
+    assert code == 0 and out == (GOLDEN / "verify_k3_max7.txt").read_text()
+
+
+@pytest.mark.parametrize("error", [OSError, NotImplementedError])
+def test_verify_runs_serially_where_no_pool_starts(capsys, monkeypatch, error):
+    # a platform without working semaphores or fork refuses the pool itself
+    _two_cpus(monkeypatch)
+
+    def refused(max_workers):
+        raise error("no pool here")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refused)
+    argv = ("verify", "--k", "3", "--max-i", "13", "--format", "json")
+    default, serial = run(capsys, *argv), run(capsys, *argv, "--jobs", "1")
+    assert default == serial and default[0] == 0
+    assert run(capsys, *argv, "--jobs", "2") == serial
+
+
+def test_run_jobs_feeds_the_pool_heaviest_first(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.max_workers, self.exited = max_workers, False
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.exited = True
+
+        def map(self, fn, items):
+            self.items = list(items)
+            return map(fn, self.items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    assert cycbar.cli._run_jobs(str, range(5), 8) == ["0", "1", "2", "3", "4"]
+    (pool,) = pools
+    assert (pool.max_workers, pool.items, pool.exited) == (3, [4, 3, 2, 1, 0], True)
+    # one worker, or one item, runs here in item order
+    assert cycbar.cli._run_jobs(str, range(3), 1) == ["0", "1", "2"]
+    assert cycbar.cli._run_jobs(str, [7], 8) == ["7"]
+    assert len(pools) == 1
 
 
 def test_verify_enumerates_each_weight_once(capsys, monkeypatch):
@@ -363,6 +441,13 @@ def test_worker_count_is_bounded(monkeypatch):
     assert _worker_count(3, 50) == 3
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _worker_count(4, 10) == 1
+
+
+def test_homology_json_is_rendered_a_weight_at_a_time():
+    # the 11,476 rows of k=2, weights 0..150, made as one json.dumps and its
+    # .replace copy, peaked at 15.2 MB while rendering; a weight per chunk, at 0.25 MB
+    tree = cycbar.cli.cmd_homology(argparse.Namespace(k=2, i="0..150"))
+    assert _traced_peak(lambda: sum(map(len, cycbar.cli._json_chunks(tree)))) < 2**20
 
 
 def test_tp_text(capsys):
