@@ -38,11 +38,11 @@ and ``command`` fields, renders only the format asked for, writes it
 to stdout or ``--out`` (opened only once the report is ready), and
 picks the exit code.  ``--format json`` prints the bytes of
 ``json.dumps(tree, indent=2, sort_keys=True)`` (sorted keys, so
-identical inputs give identical bytes): one ``json.dumps`` call per
-top-level value or item of a top-level list, and one per shape
+identical inputs give identical bytes): dicts a key at a time, a
+weight's rows 1,024 per ``json.dumps`` call, and one call per shape
 ``(exponent, k | i)`` of ``tp``'s records, whose text each record of
 that shape repeats around its weight in both formats.  Each block of
-1,024 records, as JSON or as text rows, each list item and each other
+1,024 records or rows, as JSON or as text, and each other chunk or
 text line is written as it is made.  Exit codes: 0 on
 success, 1 when the report's ``ok`` is false (a mathematical check
 failed), 2 for usage or validation errors, and for a failed write to
@@ -549,34 +549,52 @@ def _selftest_lines(tree):
     yield f"selftest: {'all checks passed' if tree['ok'] else 'CHECKS FAILED'}"
 
 
-def _json_chunks(report):
-    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, in chunks.
+def _json_chunks(value, pad="\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, in chunks.
 
-    ``report`` is a nonempty dict with text keys.  Each value is one
-    ``json.dumps`` call, moved one level in: the encoder escapes every
-    newline inside a string, so each raw newline starts a line.  A
-    nonempty list goes out one chunk per item, each item's call moved two
-    levels in, so no chunk holds all of ``homology``'s rows.  A
-    ``_FactorTable`` goes out one chunk per block, each record its shape's
-    cached JSON around the weight, so no chunk holds ``tp``'s table and no
-    record calls the encoder.
+    ``pad`` is a newline and the indent of the line ``value`` starts on.
+    The encoder escapes every newline inside a string, so each raw newline
+    starts a line, and a nested value's own text is moved in by putting
+    ``pad`` for each.  A nonempty dict goes out a key at a time.  A
+    nonempty list whose first item is a dict holding a list (a weight of
+    ``homology`` or ``verify``) goes out an item at a time, each one as a
+    dict, so no chunk holds a weight's rows; any other nonempty list goes
+    out ``_RECORD_BLOCK`` items per ``json.dumps`` call.  A ``_FactorTable``
+    goes out one chunk per block, each record its shape's cached JSON
+    around the weight, so no chunk holds ``tp``'s table and no record calls
+    the encoder.
     """
-    lead = "{\n  "
-    for key in sorted(report):
-        value = report[key]
-        yield lead + json.dumps(key) + ": "
-        lead = ",\n  "
-        if type(value) is _FactorTable:
-            items = (",\n    ".join([f"{head}{i}{tail}" for i, (head, tail, _) in block]) for block in value)
-        elif type(value) is list and value:
-            items = (json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ") for item in value)
-        else:
-            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-            continue
-        # each item's text is made inside the map, so no local holds it while the next is made
-        yield from map(str.__add__, chain(["[\n    "], repeat(",\n    ")), items)
-        yield "\n  ]"
-    yield "\n}"
+    inner = pad + "  "
+    if type(value) is dict and value:
+        lead = "{" + inner
+        for key in sorted(value):
+            yield lead + json.dumps(key) + ": "
+            lead = "," + inner
+            yield from _json_chunks(value[key], inner)
+        yield pad + "}"
+        return
+    if type(value) is list and value and type(value[0]) is dict and list in map(type, value[0].values()):
+        lead = "[" + inner
+        for item in value:
+            yield lead
+            lead = "," + inner
+            yield from _json_chunks(item, inner)
+        yield pad + "]"
+        return
+    if type(value) is _FactorTable:
+        items = (("," + inner).join([f"{head}{i}{tail}" for i, (head, tail, _) in block]) for block in value)
+    elif type(value) is list and value:
+        # the text of a list of the block's items, less its "[", "]" and first indent
+        items = (
+            json.dumps(value[n : n + _RECORD_BLOCK], indent=2, sort_keys=True)[4:-2].replace("\n", pad)
+            for n in range(0, len(value), _RECORD_BLOCK)
+        )
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+        return
+    # each block's text is made inside the map, so no local holds it while the next is made
+    yield from map(str.__add__, chain(["[" + inner], repeat("," + inner)), items)
+    yield pad + "]"
 
 
 def _write_report(args, report):

@@ -95,9 +95,11 @@ class _Value:
     constructor.  Assigning or deleting a field raises ``AttributeError``,
     so only the constructor sets fields, with ``object.__setattr__``; a
     mutable subclass puts back ``object.__setattr__`` and
-    ``object.__delattr__``, and one that checks its arguments ends its own
-    ``__init__`` by calling this one.  Every subclass has at least two
-    fields, which ``attrgetter`` needs to return a tuple.
+    ``object.__delattr__``, one that checks its arguments ends its own
+    ``__init__`` by calling this one, and one that converts a field calls
+    this one first and then sets the field with ``object.__setattr__``.
+    Every subclass has at least two fields, which ``attrgetter`` needs to
+    return a tuple.
 
     Written out rather than made by ``dataclasses``: that module imports
     ``inspect``, ``ast``, ``dis`` and ``tokenize``, and builds each class by

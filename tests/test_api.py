@@ -29,6 +29,7 @@ from cycbar import (
     verify_weight_piece,
 )
 from cycbar.cyclic_bar import _Value
+from cycbar.homology import SparseColumns
 from cycbar.tate_tp import NEGATIVE_CYCLIC_REMARK
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -92,7 +93,7 @@ REMARK_REPR = repr(NEGATIVE_CYCLIC_REMARK)
 
 
 def _values():
-    """One instance of each value class, with its repr as it read when the classes were dataclasses."""
+    """One instance of each value class and its repr; the classes that were once dataclasses read as they did then."""
     wc = CyclicBar(3).enumerate_weight_component(3)
     report = verify_weight_piece(chain_complex(CyclicBar(2).enumerate_weight_component(2)))
     return [
@@ -100,6 +101,7 @@ def _values():
         (wc, "WeightComponent(k=3, i=3, counts=[0, 2, 3, 1])"),
         (AbelianGroup(2, (2, 4)), "AbelianGroup(rank=2, torsion=(2, 4))"),
         (chain_complex(wc), "ChainComplex(k=3, i=3, dims=[0, 2, 3, 1])"),
+        (chain_complex(wc).boundaries[3], "SparseColumns(starts=(0, 2), rows=(0, 1), values=(1, -1))"),
         (
             report,
             "WeightPieceReport(k=2, i=2, computed={0: AbelianGroup(rank=0, torsion=()), "
@@ -155,7 +157,7 @@ def test_value_classes_keep_their_contract():
             with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
                 delattr(value, name)
             assert getattr(value, name) is field
-    assert len(classes) == 7
+    assert len(classes) == 8
     assert WeightComponent(3, 0).simplices_by_degree == ()
     assert AbelianGroup() == AbelianGroup(0, []) == AbelianGroup.free(0)
     assert AbelianGroup(0, [2, 4]).torsion == (2, 4)
@@ -176,7 +178,7 @@ def test_value_classes_keep_their_contract():
 def test_value_classes_share_one_constructor():
     classes = [c for c in _Value.__subclasses__() if c.__module__.startswith("cycbar.")]
     assert {type(value) for value, _ in _values()} == set(classes)
-    assert [c.__name__ for c in classes if "__init__" in vars(c)] == ["AbelianGroup"]
+    assert [c.__name__ for c in classes if "__init__" in vars(c)] == ["AbelianGroup", "ChainComplex"]
     for cls in classes:
         assert len(cls.__match_args__) >= 2, cls
         assert cls.__match_args__ == cls.__slots__, cls
@@ -226,6 +228,8 @@ def test_value_classes_match_positional_patterns():
                 got = (rank, torsion)
             case ChainComplex(k, i, bases, boundaries):
                 got = (k, i, bases, boundaries)
+            case SparseColumns(starts, rows, values):
+                got = (starts, rows, values)
             case WeightPieceReport(k, i, computed, expected, bad):
                 got = (k, i, computed, expected, bad)
             case CyclicFactor(p, weight, exponent, multiple_of_k):

@@ -450,6 +450,15 @@ def test_homology_json_is_rendered_a_weight_at_a_time():
     assert _traced_peak(lambda: sum(map(len, cycbar.cli._json_chunks(tree)))) < 2**20
 
 
+def test_homology_json_renders_one_weight_a_block_of_rows_at_a_time():
+    # one weight of 10,001 rows, made as one json.dumps and its .replace
+    # copy, peaked at ~13 MB while rendering; 1,024 rows a chunk, at ~1.4 MB
+    tree = cycbar.cli.cmd_homology(argparse.Namespace(k=2, i="10000"))
+    chunks = []
+    assert _traced_peak(lambda: chunks.extend(map(len, cycbar.cli._json_chunks(tree)))) < 2**21
+    assert max(chunks) < 2**18 and sum(chunks) > 2**20
+
+
 def test_tp_text(capsys):
     code, out, _ = run(capsys, "tp", "--p", "2", "--k", "3", "--j", "1",
                        "--truncate", "10")

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 import sys
 from itertools import combinations
 from math import gcd
@@ -13,6 +14,7 @@ from cycbar.cyclic_bar import BASEPOINT, CyclicBar, WeightComponent
 from cycbar.homology import (
     AbelianGroup,
     ChainComplex,
+    SparseColumns,
     ZERO_GROUP,
     _eliminate_unit_pivots,
     chain_complex,
@@ -218,7 +220,7 @@ def test_chain_complex_k3_i2_fixture():
 
 
 def _reference_chain_complex(wc):
-    """The build as a (row, col)-keyed dict of each degree, then sorted: the oracle for ``chain_complex``."""
+    """The build as a (row, col)-keyed dict of each degree, as sorted triplets: the oracle for ``chain_complex``."""
     bar = CyclicBar(wc.k)
     bases = wc.simplices_by_degree
     index = [{s: col for col, s in enumerate(block)} for block in bases]
@@ -245,9 +247,11 @@ def test_chain_complex_equals_reference_build():
             cx = chain_complex(wc)
             assert cx == _reference_chain_complex(wc), (k, i)
             for block in cx.boundaries:
+                assert type(block) is SparseColumns
                 assert all(type(b) is tuple for b in block)
                 assert all(v for _, _, v in block), (k, i)
-                keys = [(r, c) for r, c, _ in block]
+                # column order, rows increasing within a column
+                keys = [(c, r) for r, c, _ in block]
                 assert all(a < b for a, b in zip(keys, keys[1:])), (k, i)
 
 
@@ -270,12 +274,12 @@ def test_chain_complex_refuses_a_face_outside_the_basis():
         chain_complex(blocks)
 
 
-def test_build_and_dd_hold_little_beside_the_triplets():
+def test_build_and_dd_hold_little_beside_the_column_tuples():
     # tracemalloc counts every Python allocation; the bounds are fractions
-    # of the triplets' own size, so they do not depend on the machine.
-    # Here the build reads 0.01x, and the d∘d check, which holds one sorted
-    # degree and the plus/minus split of the next, 0.17x (Python 3.11); a
-    # (row, col)-keyed dict of a whole degree read 0.18x and 0.51x
+    # of the size of the complex's starts, rows and values tuples, so they
+    # do not depend on the machine.  Here the build reads 0.013x, and the
+    # d∘d check, which holds one degree laid out by sign, 0.25x (Python
+    # 3.11); a plus and a minus list per column of that degree read 0.45x
     import tracemalloc
 
     wc = CyclicBar(5).enumerate_weight_component(12)
@@ -289,10 +293,71 @@ def test_build_and_dd_hold_little_beside_the_triplets():
         dd_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    size = sum(sys.getsizeof(t) for block in cx.boundaries for t in block)
-    assert size > 10**6
+    size = sum(sys.getsizeof(t) for m in cx.boundaries for t in (m.starts, m.rows, m.values))
+    assert size > 3 * 10**5
     assert peak - retained <= 0.15 * size, (peak - retained) / size
     assert dd_peak <= 0.30 * size, dd_peak / size
+
+
+def test_complex_holds_at_most_30_bytes_per_nonzero():
+    # everything the build leaves behind, row index ints included, over the
+    # nonzeros: ~24 B, against ~77 B with one (row, col, value) tuple each
+    import tracemalloc
+
+    wc = CyclicBar(5).enumerate_weight_component(12)
+    tracemalloc.start()
+    try:
+        cx = chain_complex(wc)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nonzeros = sum(map(len, cx.boundaries))
+    assert nonzeros == 18763
+    assert retained <= 30 * nonzeros, retained / nonzeros
+
+
+def test_sparse_columns_len_and_iteration_order():
+    # columns 0, 1, 2 of a 3 x 3 matrix hold 2, 0 and 1 entries
+    m = SparseColumns.from_triplets([(2, 2, 5), (1, 0, -1), (0, 0, 3)], 3, 3)
+    assert m == SparseColumns((0, 2, 2, 3), (0, 1, 2), (3, -1, 5))
+    assert len(m) == 3
+    assert list(m) == [(0, 0, 3), (1, 0, -1), (2, 2, 5)]
+    assert list(m.columns()) == [((0, 1), (3, -1)), ((), ()), ((2,), (5,))]
+    assert len(SparseColumns.from_triplets([], 0, 4)) == 0
+    for k in (3, 4):
+        for i in range(0, 9):
+            cx = chain_complex(CyclicBar(k).enumerate_weight_component(i))
+            for l, m in enumerate(cx.boundaries):
+                triplets = list(m)
+                assert len(m) == len(triplets) and len(m.starts) == cx.dimension(l) + 1, (k, i, l)
+                assert [(c, r) for r, c, _ in triplets] == sorted((c, r) for r, c, _ in triplets), (k, i, l)
+
+
+def test_complex_from_triplets_in_any_order_equals_the_build():
+    rng = random.Random(20261022)
+    for k in (2, 3, 4, 5):
+        for i in range(0, 10):
+            cx = chain_complex(CyclicBar(k).enumerate_weight_component(i))
+            shuffled = [rng.sample(list(m), len(m)) for m in cx.boundaries]
+            again = ChainComplex(k, i, cx.bases, tuple(shuffled))
+            assert again == cx and hash(again) == hash(cx), (k, i)
+            assert all(type(m) is SparseColumns for m in again.boundaries)
+
+
+def test_complex_refuses_entries_outside_its_matrices():
+    # degrees 0, 1, 2 of sizes 1, 2, 1: d_1 is 1 x 2 and d_2 is 2 x 1
+    bases = ((0,), (0, 1), (0,))
+    good = ((), ((0, 0, 1), (0, 1, -1)), ((0, 0, 1), (1, 0, 1)))
+    assert ChainComplex(2, 1, bases, good).boundaries[2] == SparseColumns((0, 2), (0, 1), (1, 1))
+    for l, entry in [(1, (0, 2, 1)), (1, (1, 0, 1)), (2, (0, 1, 1)), (2, (2, 0, 1)), (1, (-1, 0, 1)), (0, (0, 0, 1))]:
+        bad = list(good)
+        bad[l] = good[l] + (entry,)
+        with pytest.raises(ValueError, match=rf"entry {re.escape(repr(entry))} lies outside the"):
+            ChainComplex(2, 1, bases, tuple(bad))
+    with pytest.raises(ValueError, match=r"entries \(0, 0, 1\) and \(0, 0, 2\) share a position"):
+        ChainComplex(2, 1, bases, ((), good[1] + ((0, 0, 2),), good[2]))
+    with pytest.raises(ValueError, match="3 degrees need as many boundaries, got 2"):
+        ChainComplex(2, 1, bases, good[:2])
 
 
 def test_boundary_squares_to_zero_small():
@@ -332,20 +397,21 @@ def test_dd_check_agrees_with_reference():
             cx = chain_complex(bar.enumerate_weight_component(i))
             assert _reference_composes_to_zero(cx) is True, (k, i)
             assert cx.boundary_composes_to_zero() is True, (k, i)
-            shuffled = _with_boundaries(cx, [rng.sample(b, len(b)) for b in cx.boundaries])
+            shuffled = _with_boundaries(cx, [rng.sample(list(b), len(b)) for b in cx.boundaries])
             assert shuffled.boundary_composes_to_zero() is True, (k, i)
             for l in range(2, cx.top_degree + 1):
                 # flipping or dropping an entry (mid, c, v) of d_l adds -2v or
                 # -v times column mid of d_{l-1} to column c of the product,
                 # which is then nonzero when that column is
                 hit = {mid for _, mid, _ in cx.boundaries[l - 1]}
-                at = [n for n, (mid, _, _) in enumerate(cx.boundaries[l]) if mid in hit]
+                upper = list(cx.boundaries[l])
+                at = [n for n, (mid, _, _) in enumerate(upper) if mid in hit]
                 if not at:
                     continue
                 n = rng.choice(at)
-                mid, c, v = cx.boundaries[l][n]
+                mid, c, v = upper[n]
                 for entry in ((mid, c, -v), None):
-                    cells = list(cx.boundaries[l])
+                    cells = list(upper)
                     if entry is None:
                         del cells[n]
                     else:
@@ -523,9 +589,14 @@ def _triplets(matrix):
     return [(r, c, v) for r, row in enumerate(matrix) for c, v in enumerate(row) if v]
 
 
-def _sparse_factors(triplets, m, n):
+def _columns(matrix):
+    m = len(matrix)
+    return SparseColumns.from_triplets(_triplets(matrix), m, len(matrix[0]) if m else 0)
+
+
+def _sparse_factors(columns, m, n):
     """The whole Smith diagonal of an m x n matrix: 1 per unit pivot, then the residual's, then zeros."""
-    units, residual = _eliminate_unit_pivots(triplets)
+    units, residual = _eliminate_unit_pivots(columns)
     out = [1] * units + smith_normal_form(residual)
     return out + [0] * (min(m, n) - len(out))
 
@@ -533,7 +604,7 @@ def _sparse_factors(triplets, m, n):
 def _factors(matrix):
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    return _sparse_factors(_triplets(matrix), m, n)
+    return _sparse_factors(_columns(matrix), m, n)
 
 
 # mostly 0 and +-1, some +-2 and +-3; the second pool has no unit at all
@@ -556,12 +627,12 @@ def sparse_matrices(draw):
 
 
 def test_unit_pivot_examples():
-    assert _eliminate_unit_pivots([]) == (0, [])
-    assert _eliminate_unit_pivots(_triplets([[2, 4], [6, 8]])) == (0, [[2, 4], [6, 8]])
+    assert _eliminate_unit_pivots(_columns([])) == (0, [])
+    assert _eliminate_unit_pivots(_columns([[2, 4], [6, 8]])) == (0, [[2, 4], [6, 8]])
     # one pivot at (0, 0) leaves the 1x1 residual 8 - 2*3
-    assert _eliminate_unit_pivots(_triplets([[1, 3], [2, 8]])) == (1, [[2]])
+    assert _eliminate_unit_pivots(_columns([[1, 3], [2, 8]])) == (1, [[2]])
     # zero rows and columns are dropped from the residual
-    assert _eliminate_unit_pivots(_triplets([[0, 0, 0], [0, 2, 0]])) == (0, [[2]])
+    assert _eliminate_unit_pivots(_columns([[0, 0, 0], [0, 2, 0]])) == (0, [[2]])
     assert _factors([[0, 0, 0], [0, 2, 0]]) == [2, 0]
     assert _factors([[1, 1], [1, -1]]) == [1, 2]
     assert _factors([[-1]]) == [1]
@@ -570,9 +641,9 @@ def test_unit_pivot_examples():
 
 def test_unit_pivots_leave_input_alone():
     cells = [(0, 0, 1), (0, 1, 3), (1, 0, 2), (1, 1, 8)]
-    snapshot = list(cells)
-    _eliminate_unit_pivots(cells)
-    assert cells == snapshot
+    columns = SparseColumns.from_triplets(cells, 2, 2)
+    assert _eliminate_unit_pivots(columns) == _eliminate_unit_pivots(columns) == (1, [[2]])
+    assert list(columns) == sorted(cells, key=lambda t: t[1])
 
 
 @settings(deadline=None, max_examples=300)
